@@ -1,12 +1,13 @@
 // Extension benchmark: the sharded cluster layer vs the single-node
 // kernel engine, with a machine-readable BENCH_CLUSTER.json report.
 //
-// Spins W in-process loopback workers (real TcpServers, real sockets —
-// the full wire path minus propagation delay) and measures cluster
-// evaluate() and a RoMe gain sweep against the local KernelErEngine on
-// the identical workload.  Every cluster result is asserted *bitwise*
-// equal to the single-node answer first: a perf number for a wrong merge
-// is worthless.
+// Spins W in-process loopback workers (real ReactorServers, real sockets
+// — the full wire path minus propagation delay) and measures cluster
+// evaluate() against the local KernelErEngine on the identical workload.
+// Every cluster ER is asserted *bitwise* equal to the single-node answer
+// first: a perf number for a wrong merge is worthless.  RoMe selection
+// always runs on the coordinator's own engine, so local_select is the
+// cluster's select cost too.
 //
 // The report intentionally carries NO gated ratios: loopback RPC scaling
 // depends on core count and scheduler load, so tools/bench_compare runs
@@ -25,7 +26,7 @@
 #include "bench_json.h"
 #include "cluster/coordinator.h"
 #include "core/rome.h"
-#include "service/server.h"
+#include "service/reactor_server.h"
 #include "service/workload_cache.h"
 #include "util/table.h"
 
@@ -38,11 +39,11 @@ class Fleet {
   explicit Fleet(std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
       auto worker = std::make_unique<Worker>();
-      worker->server = std::make_unique<service::TcpServer>(
-          service::ServerConfig{.port = 0,
-                                .threads = 2,
-                                .cache_capacity = 2,
-                                .request_timeout_s = 120.0});
+      worker->server = std::make_unique<service::ReactorServer>(
+          service::ReactorServerConfig{.port = 0,
+                                       .threads = 2,
+                                       .cache_capacity = 2,
+                                       .request_timeout_s = 120.0});
       worker->runner =
           std::thread([srv = worker->server.get()] { srv->run(); });
       workers_.push_back(std::move(worker));
@@ -68,16 +69,15 @@ class Fleet {
 
  private:
   struct Worker {
-    std::unique_ptr<service::TcpServer> server;
+    std::unique_ptr<service::ReactorServer> server;
     std::thread runner;
   };
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 
 int run(Flags& flags) {
-  const std::size_t paths =
-      static_cast<std::size_t>(flags.get_int("paths", 60));
-  const std::size_t runs = static_cast<std::size_t>(flags.get_int("runs", 40));
+  const std::size_t paths = flags.get_count("paths", 60);
+  const std::size_t runs = flags.get_count("runs", 40);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.get_int("seed", 5));
   const double budget_frac = flags.get_double("budget-frac", 0.25);
@@ -118,18 +118,9 @@ int run(Flags& flags) {
 
   // Correctness first: every fleet's merge must be bitwise single-node.
   const double local_er = engine.evaluate(all);
-  const core::Selection local_sel =
-      core::rome(*workload.system, workload.costs, budget, engine);
   for (std::size_t i = 0; i < coords.size(); ++i) {
     if (coords[i]->evaluate(all) != local_er) {
       std::cerr << "FATAL: cluster evaluate (" << worker_counts[i]
-                << " workers) differs from single-node\n";
-      return 1;
-    }
-    const core::Selection sel = coords[i]->select(budget);
-    if (sel.paths != local_sel.paths ||
-        sel.objective != local_sel.objective) {
-      std::cerr << "FATAL: cluster selection (" << worker_counts[i]
                 << " workers) differs from single-node\n";
       return 1;
     }
@@ -161,24 +152,16 @@ int run(Flags& flags) {
                  fmt(local_select.p50_us, 2), fmt(local_select.p95_us, 2)});
 
   std::vector<bench::LatencySample> cluster_evals;
-  std::vector<bench::LatencySample> cluster_selects;
   for (std::size_t i = 0; i < coords.size(); ++i) {
     cluster::Coordinator& coord = *coords[i];
     const std::string w = std::to_string(worker_counts[i]);
     const bench::LatencySample eval = bench::measure(
         [&] { (void)coord.evaluate(all); }, /*min_iterations=*/20,
         min_seconds);
-    const bench::LatencySample select = bench::measure(
-        [&] { (void)coord.select(budget); }, /*min_iterations=*/5,
-        min_seconds);
     cluster_evals.push_back(eval);
-    cluster_selects.push_back(select);
     report.add_metric("cluster_evaluate_w" + w, eval);
-    report.add_metric("cluster_select_w" + w, select);
     table.add_row({"cluster_evaluate_w" + w, fmt(eval.ops_per_sec, 1),
                    fmt(eval.p50_us, 2), fmt(eval.p95_us, 2)});
-    table.add_row({"cluster_select_w" + w, fmt(select.ops_per_sec, 1),
-                   fmt(select.p50_us, 2), fmt(select.p95_us, 2)});
   }
   table.print(std::cout, csv);
 
@@ -189,14 +172,10 @@ int run(Flags& flags) {
       std::cout << "  " << worker_counts[i] << " worker(s): evaluate "
                 << fmt(cluster_evals[i].ops_per_sec / local_eval.ops_per_sec,
                        3)
-                << "x local, select "
-                << fmt(cluster_selects[i].ops_per_sec /
-                           local_select.ops_per_sec,
-                       3)
                 << "x local\n";
     }
-    std::cout << "merge check: ER and selection bitwise identical to "
-                 "single-node at every worker count\n";
+    std::cout << "merge check: ER bitwise identical to single-node at "
+                 "every worker count\n";
   }
 
   if (!json_path.empty()) {

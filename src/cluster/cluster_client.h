@@ -56,9 +56,8 @@ class ClusterClient {
   std::size_t alive_count() const;
 
   /// Marks a worker permanently dead; subsequent call()s to it throw
-  /// TransportError immediately.  (Workers do not come back: a revived
-  /// process has lost its sweep sessions, so the coordinator must treat
-  /// it as a fresh worker anyway.)
+  /// TransportError immediately.  Workers do not come back: its slices
+  /// stay with the survivors for the coordinator's lifetime.
   void mark_dead(std::size_t worker);
 
   /// One request/reply exchange with `worker`.  Throws TransportError on

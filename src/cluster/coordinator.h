@@ -1,33 +1,26 @@
-// Cluster coordinator: scenario-sharded ER evaluation and RoMe selection
-// across worker processes, bitwise identical to a single-node run.
+// Cluster coordinator: scenario-sharded ER evaluation across worker
+// processes, bitwise identical to a single-node run.
 //
 // The coordinator builds the workload locally (the same WorkloadCache the
 // service uses, so scenario sampling is deterministic in the key), plans
 // one contiguous scenario slice per worker with ShardPlanner, and fans
-// requests out over the service's line protocol:
+// evaluate(R) out over the service's line protocol as one shard-eval per
+// slice.  Workers return *integer* ranks; the coordinator pastes them
+// into scenario order and applies the engine's own fixed chunked float
+// reduction (reduce_ranks), so the summation tree never sees the
+// sharding and the bits match KernelErEngine::evaluate().
 //
-//   evaluate(R)  -> shard-eval per slice; workers return *integer* ranks,
-//                   the coordinator pastes them into scenario order and
-//                   applies the engine's own fixed chunked float reduction
-//                   (reduce_ranks) — the summation tree never sees the
-//                   sharding, so the bits match KernelErEngine::evaluate().
-//   select(B)    -> core::rome over a cluster-backed ErEngine whose
-//                   accumulator drives shard-sweep sessions: workers
-//                   return one independence *bit* per scenario, and the
-//                   coordinator sums class weights over those bits in
-//                   global class order, replaying KernelAccumulator's
-//                   exact float accumulation.
+// Selection does not go over the wire: the coordinator already holds the
+// bit-packed twin engine (engine()), so RoMe runs on it locally and ships
+// nothing.
 //
 // Failures are first-class: every RPC runs under deadlines with bounded
 // retry (service::ClientOptions); a transport failure marks the worker
-// dead and reassigns its slices to survivors (assign_owners), and sweep
-// sessions are re-created on the inheritor by replaying the committed
-// selection — so killing a worker mid-sweep changes latency, never a bit
-// of the answer.  An optional background heartbeat prunes dead workers
-// between requests.
+// dead and reassigns its slices to survivors (assign_owners), so killing
+// a worker changes latency, never a bit of the answer.  An optional
+// background heartbeat prunes dead workers between requests.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -40,8 +33,6 @@
 #include "cluster/cluster_client.h"
 #include "cluster/shard_planner.h"
 #include "core/kernel_er.h"
-#include "core/rome.h"
-#include "core/selection.h"
 #include "service/metrics.h"
 #include "service/workload_cache.h"
 
@@ -86,11 +77,7 @@ class Coordinator {
   /// engine().evaluate(subset).
   double evaluate(const std::vector<std::size_t>& subset);
 
-  /// Cluster RoMe at `budget`, bitwise identical to single-node
-  /// core::rome over engine().
-  core::Selection select(double budget, core::RomeStats* stats = nullptr);
-
-  /// The local twin engine (also the merge oracle).
+  /// The local twin engine: the merge oracle, and what RoMe selects on.
   const core::KernelErEngine& engine() const;
   const service::CachedWorkload& workload() const { return *workload_; }
 
@@ -114,31 +101,18 @@ class Coordinator {
   void start_heartbeats();
   void stop_heartbeats();
 
-  /// Test hook, fired with a monotonically increasing operation index
-  /// right before every fan-out — lets tests kill a worker at a precise
-  /// point mid-sweep.  Pass nullptr to clear.
-  void set_fault_hook(std::function<void(std::size_t)> hook);
-
  private:
-  friend class ClusterAccumulator;
-  friend class ClusterEngine;
-
   /// Runs `make_request(slice)` against the current owner of every
   /// non-empty slice, one thread per slice, failing slices over on
-  /// TransportError until they succeed or no worker is left.  `ensure`
-  /// (optional) runs as ensure(owner, slice_index) against the owner
-  /// first — the sweep path uses it to lazily init sessions on whichever
-  /// worker currently owns the slice.
+  /// TransportError until they succeed or no worker is left.
   std::vector<service::Response> fan_out(
-      const std::function<service::Request(const Slice&)>& make_request,
-      const std::function<void(std::size_t, std::size_t)>& ensure = {});
+      const std::function<service::Request(const Slice&)>& make_request);
 
-  /// One slice's robust call loop (owner lookup -> ensure -> call ->
-  /// failover on transport error).
+  /// One slice's robust call loop (owner lookup -> call -> failover on
+  /// transport error).
   service::Response robust_slice_call(
       std::size_t slice_index,
-      const std::function<service::Request(const Slice&)>& make_request,
-      const std::function<void(std::size_t, std::size_t)>& ensure);
+      const std::function<service::Request(const Slice&)>& make_request);
 
   /// Marks a worker dead and reassigns its slices to survivors.
   void note_worker_down(std::size_t worker);
@@ -146,9 +120,6 @@ class Coordinator {
   /// Request skeleton carrying the workload key + runs, so any worker
   /// resolves the identical engine from its own cache.
   service::Request base_request(service::RequestType type) const;
-
-  /// Process-unique sweep-session id ("swp-<pid>-<n>").
-  static std::string next_sweep_id();
 
   void heartbeat_loop();
 
@@ -162,10 +133,6 @@ class Coordinator {
   mutable std::mutex state_mu_;  ///< Guards owners_ and failovers_.
   std::vector<std::size_t> owners_;
   std::size_t failovers_ = 0;
-
-  std::atomic<std::size_t> op_index_{0};
-  std::mutex hook_mu_;
-  std::function<void(std::size_t)> fault_hook_;
 
   service::ServiceMetrics metrics_;
 

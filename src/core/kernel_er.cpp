@@ -79,11 +79,11 @@ std::size_t hybrid_rank(const tomo::PathSystem& system,
   return rank;
 }
 
-/// The per-class basis state shared by the single-node accumulator and
-/// the slice-local shard accumulator: an incremental GF(2) basis that is
-/// authoritative while exact ("synced"), the committed independent rows,
-/// and the lazily materialized floating-point fallback.  The mask is
-/// borrowed from the engine's ScenarioClasses (stable heap storage).
+/// The per-class basis state of the scalar accumulator: an incremental
+/// GF(2) basis that is authoritative while exact ("synced"), the committed
+/// independent rows, and the lazily materialized floating-point fallback.
+/// The mask is borrowed from the engine's ScenarioClasses (stable heap
+/// storage).
 struct ClassBasis {
   ClassBasis(const std::vector<std::uint64_t>& mask, std::size_t links)
       : survive_mask(&mask), gf2(links) {}
@@ -882,104 +882,6 @@ std::unique_ptr<ErAccumulator> KernelErEngine::make_accumulator() const {
     return std::make_unique<SlicedKernelAccumulator>(*this);
   }
   return std::make_unique<KernelAccumulator>(*this);
-}
-
-// ---------------------------------------------------------------------------
-// Shard accumulator
-// ---------------------------------------------------------------------------
-
-struct KernelShardAccumulator::Impl {
-  const KernelErEngine& engine;
-  std::size_t begin;
-  std::size_t end;
-  /// One basis per class *present in the slice*, in slice-first-appearance
-  /// order.  The trajectory of a class basis depends only on its mask and
-  /// the committed paths — never on which scenarios (or how many) map to
-  /// it — so slice-local bases match the single-node ones exactly.
-  std::vector<ClassBasis> classes;
-  std::vector<std::uint32_t> local_class;  ///< Slice scenario -> local class.
-
-  Impl(const KernelErEngine& eng, std::size_t b, std::size_t e)
-      : engine(eng), begin(b), end(e) {
-    const ScenarioClasses& sc = engine.scenario_classes();
-    std::unordered_map<std::uint32_t, std::uint32_t> local_of;
-    local_class.reserve(end - begin);
-    for (std::size_t s = begin; s < end; ++s) {
-      const std::uint32_t g = sc.class_of[s];
-      const auto [it, inserted] = local_of.emplace(
-          g, static_cast<std::uint32_t>(classes.size()));
-      if (inserted) {
-        classes.emplace_back(sc.masks[g], engine.system_.link_count());
-      }
-      local_class.push_back(it->second);
-    }
-  }
-
-  std::vector<std::uint64_t> scatter(
-      const std::vector<std::uint8_t>& class_bit) const {
-    const std::size_t n = end - begin;
-    std::vector<std::uint64_t> bits(n == 0 ? 1 : (n + 63) / 64, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (class_bit[local_class[i]]) {
-        bits[i / 64] |= std::uint64_t{1} << (i % 64);
-      }
-    }
-    return bits;
-  }
-};
-
-KernelShardAccumulator::KernelShardAccumulator(std::unique_ptr<Impl> impl)
-    : impl_(std::move(impl)) {}
-KernelShardAccumulator::~KernelShardAccumulator() = default;
-KernelShardAccumulator::KernelShardAccumulator(
-    KernelShardAccumulator&&) noexcept = default;
-
-std::size_t KernelShardAccumulator::begin() const { return impl_->begin; }
-std::size_t KernelShardAccumulator::end() const { return impl_->end; }
-
-std::vector<std::uint64_t> KernelShardAccumulator::probe(
-    std::size_t path) const {
-  Impl& im = *impl_;
-  if (path >= im.engine.system_.path_count()) {
-    throw std::invalid_argument("KernelShardAccumulator: path out of range");
-  }
-  const auto bits = im.engine.path_bits_.row(path);
-  const auto row = im.engine.system_.row(path);
-  std::vector<std::uint8_t> class_bit(im.classes.size(), 0);
-  for (std::size_t c = 0; c < im.classes.size(); ++c) {
-    if (!im.classes[c].survives(path)) continue;
-    if (query_independent(im.engine.system_, im.classes[c], bits, row)) {
-      class_bit[c] = 1;
-    }
-  }
-  return im.scatter(class_bit);
-}
-
-std::vector<std::uint64_t> KernelShardAccumulator::add(std::size_t path) {
-  Impl& im = *impl_;
-  if (path >= im.engine.system_.path_count()) {
-    throw std::invalid_argument("KernelShardAccumulator: path out of range");
-  }
-  const auto bits = im.engine.path_bits_.row(path);
-  const auto row = im.engine.system_.row(path);
-  std::vector<std::uint8_t> class_bit(im.classes.size(), 0);
-  for (std::size_t c = 0; c < im.classes.size(); ++c) {
-    if (!im.classes[c].survives(path)) continue;
-    if (commit_path(im.engine.system_, im.classes[c], path, bits, row)) {
-      class_bit[c] = 1;
-    }
-  }
-  return im.scatter(class_bit);
-}
-
-std::unique_ptr<KernelShardAccumulator> KernelErEngine::make_shard_accumulator(
-    std::size_t begin, std::size_t end) const {
-  if (begin > end || end > scenario_count()) {
-    throw std::invalid_argument(
-        "KernelErEngine::make_shard_accumulator: bad range");
-  }
-  return std::unique_ptr<KernelShardAccumulator>(new KernelShardAccumulator(
-      std::make_unique<KernelShardAccumulator::Impl>(*this, begin, end)));
 }
 
 }  // namespace rnt::core

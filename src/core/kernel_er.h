@@ -35,24 +35,14 @@
 // linalg/bitrank.h for why GF(2)-independence certifies rational
 // independence exactly while the basis stays "synced").
 //
-// Cluster entry points.  The engine also exposes the integer halves of
-// its computation so a coordinator can shard work across processes while
-// staying bitwise identical to a single-node run:
-//
-//  - slice_ranks() returns the exact integer surviving rank of each
-//    scenario in a contiguous slice [begin, end) — workers ship integers,
-//    and reduce_ranks() applies the engine's own fixed chunked float
-//    reduction to the merged full table, so the summation tree (and hence
-//    the bits of the result) cannot depend on how scenarios were sharded.
-//  - scenario_classes() is the deduplicated class structure the
-//    accumulator walks, in global first-appearance order.
-//  - make_shard_accumulator() is a slice-local accumulator whose
-//    probe()/add() answers are one *bit* per scenario (survives AND
-//    independent of the committed selection in its class basis).  A class
-//    confined to identical masks walks the identical basis trajectory on
-//    any host, so a coordinator that sums class weights over those bits in
-//    global class order reproduces KernelAccumulator::gain()/value()
-//    bitwise regardless of sharding or failover.
+// Cluster entry points.  The engine also exposes the integer half of
+// evaluate() so a coordinator can shard it across processes while staying
+// bitwise identical to a single-node run: slice_ranks() returns the exact
+// integer surviving rank of each scenario in a contiguous slice
+// [begin, end) — workers ship integers — and reduce_ranks() applies the
+// engine's own fixed chunked float reduction to the merged full table, so
+// the summation tree (and hence the bits of the result) cannot depend on
+// how scenarios were sharded.
 #pragma once
 
 #include <array>
@@ -67,8 +57,6 @@
 #include "linalg/bitrank.h"
 
 namespace rnt::core {
-
-class KernelShardAccumulator;
 
 /// Which rank kernel the engine runs.
 ///
@@ -181,15 +169,9 @@ class KernelErEngine : public ScenarioErEngine {
   /// and cached (thread-safe; the engine is shared const by the service).
   const ScenarioClasses& scenario_classes() const;
 
-  /// Slice-local accumulator for distributed RoMe sweeps; see
-  /// KernelShardAccumulator.  Requires begin <= end <= scenario_count().
-  std::unique_ptr<KernelShardAccumulator> make_shard_accumulator(
-      std::size_t begin, std::size_t end) const;
-
  private:
   friend class KernelAccumulator;
   friend class SlicedKernelAccumulator;
-  friend class KernelShardAccumulator;
 
   /// Shared core of the evaluate paths: packs the subset rows, dedups the
   /// per-scenario surviving masks over scenarios [begin, end), ranks each
@@ -235,41 +217,6 @@ class KernelErEngine : public ScenarioErEngine {
   /// Lazily built class_full_ranks() result (same stability rationale).
   mutable std::mutex full_ranks_mutex_;
   mutable std::unique_ptr<std::vector<std::size_t>> class_full_ranks_;
-};
-
-/// A KernelAccumulator restricted to the scenario slice [begin, end):
-/// the same class-basis machinery, but the answers are packed bits — bit
-/// i of a probe()/add() reply is scenario begin + i, set iff the path
-/// survives that scenario AND is independent of the committed selection
-/// in the scenario's class basis.  Bits are exact {0, 1} integers, so a
-/// coordinator summing class weights over them in fixed global class
-/// order reproduces the single-node accumulator's gain() and value()
-/// bitwise, no matter how scenarios are sharded or which worker answers.
-/// Always runs the scalar per-class bases regardless of the engine's
-/// KernelMode — its replies are exact {0, 1} bits either way, and the
-/// kernels agree on every verdict, so coordinator sums are unaffected.
-/// Not thread-safe; callers (the service's sweep sessions) serialize.
-class KernelShardAccumulator {
- public:
-  ~KernelShardAccumulator();
-  KernelShardAccumulator(KernelShardAccumulator&&) noexcept;
-
-  std::size_t begin() const;
-  std::size_t end() const;
-
-  /// Independence bits for `path` against the committed selection; does
-  /// not change observable state (exact bases may materialize lazily).
-  std::vector<std::uint64_t> probe(std::size_t path) const;
-
-  /// Commits `path` and returns the bits at commit time (which classes
-  /// accepted it as a new independent row).
-  std::vector<std::uint64_t> add(std::size_t path);
-
- private:
-  friend class KernelErEngine;
-  struct Impl;
-  explicit KernelShardAccumulator(std::unique_ptr<Impl> impl);
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace rnt::core

@@ -7,9 +7,8 @@
 // The reactor front end adds lock-free counters (shed requests/
 // connections, idle timeouts, pipelined requests) and gauges (open
 // connections, admission-queue depth).  They are atomics, not
-// mutex-guarded, because the event loop bumps them on its hot path; the
-// threaded server simply leaves them at zero, so both front ends emit
-// the same `stats` fields.
+// mutex-guarded, because the event loop bumps them on its hot path;
+// in-process callers simply leave them at zero.
 #pragma once
 
 #include <atomic>

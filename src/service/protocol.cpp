@@ -7,10 +7,12 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/flags.h"
+
 namespace rnt::service {
 namespace {
 
-constexpr std::array<std::pair<RequestType, const char*>, 16> kVerbs{{
+constexpr std::array<std::pair<RequestType, const char*>, 15> kVerbs{{
     {RequestType::kSelect, "select"},
     {RequestType::kErEval, "er-eval"},
     {RequestType::kIdentifiability, "identifiability"},
@@ -23,7 +25,6 @@ constexpr std::array<std::pair<RequestType, const char*>, 16> kVerbs{{
     {RequestType::kWorkerHello, "worker-hello"},
     {RequestType::kHeartbeat, "heartbeat"},
     {RequestType::kShardEval, "shard-eval"},
-    {RequestType::kShardSweep, "shard-sweep"},
     {RequestType::kStats, "stats"},
     {RequestType::kPing, "ping"},
     {RequestType::kShutdown, "shutdown"},
@@ -124,6 +125,11 @@ std::int64_t Request::get_int(const std::string& key, std::int64_t def) const {
                                 raw);
   }
   return value;
+}
+
+std::size_t Request::get_count(const std::string& key,
+                               std::size_t def) const {
+  return to_count(get_int(key, static_cast<std::int64_t>(def)), key);
 }
 
 double Request::get_double(const std::string& key, double def) const {
@@ -255,38 +261,6 @@ std::string format_response(const Response& response) {
     line += sanitize_value(value);
   }
   return line;
-}
-
-std::string encode_bits(const std::vector<std::uint64_t>& bits) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out;
-  out.reserve(bits.size() * 16);
-  for (std::uint64_t word : bits) {
-    for (int nibble = 0; nibble < 16; ++nibble) {
-      out.push_back(kHex[(word >> (4 * nibble)) & 0xF]);
-    }
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> decode_bits(const std::string& text) {
-  if (text.size() % 16 != 0) {
-    throw std::invalid_argument("protocol: bit vector length not word-aligned");
-  }
-  std::vector<std::uint64_t> bits(text.size() / 16, 0);
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    std::uint64_t nibble = 0;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<std::uint64_t>(c - 'a') + 10;
-    } else {
-      throw std::invalid_argument("protocol: bad hex digit in bit vector");
-    }
-    bits[i / 16] |= nibble << (4 * (i % 16));
-  }
-  return bits;
 }
 
 }  // namespace rnt::service

@@ -8,7 +8,7 @@
 //   verb     = "select" | "er-eval" | "identifiability" | "localize"
 //            | "localize-node" | "infer" | "feed" | "replan"
 //            | "pipeline-stats" | "worker-hello" | "heartbeat"
-//            | "shard-eval" | "shard-sweep" | "stats" | "ping" | "shutdown"
+//            | "shard-eval" | "stats" | "ping" | "shutdown"
 //   reply    = "ok" *( SP key "=" value ) | "error" SP message
 //   key      = 1*( ALPHA | DIGIT | "-" | "_" | "." )
 //   value    = 1*( any char except SP / TAB / CR / LF )
@@ -40,7 +40,6 @@ enum class RequestType {
   kWorkerHello,    ///< Cluster handshake: identity + capacity of a worker.
   kHeartbeat,      ///< Cheap liveness probe for the cluster coordinator.
   kShardEval,      ///< Integer scenario ranks for a contiguous slice.
-  kShardSweep,     ///< Slice-local sweep session: init/probe/add/end.
   kStats,
   kPing,
   kShutdown,
@@ -61,6 +60,8 @@ struct Request {
   /// finish() can reject typos, mirroring util/Flags.
   std::string get(const std::string& key, const std::string& def) const;
   std::int64_t get_int(const std::string& key, std::int64_t def) const;
+  /// get_int narrowed by rnt::to_count: negative values are rejected.
+  std::size_t get_count(const std::string& key, std::size_t def) const;
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
 
@@ -110,14 +111,5 @@ std::string format_response(const Response& response);
 /// parameters (e.g. the cluster coordinator's intensity=) survive the
 /// wire round trip exactly.
 std::string format_double(double value);
-
-/// Hex encoding for packed bit vectors carried in shard-sweep replies:
-/// each 64-bit word renders as 16 lowercase hex digits, least-significant
-/// word first, so the wire form is fixed-width and byte-for-byte
-/// deterministic.  decode_bits is the exact inverse and throws
-/// std::invalid_argument on non-hex input or a length that is not a
-/// multiple of 16.
-std::string encode_bits(const std::vector<std::uint64_t>& bits);
-std::vector<std::uint64_t> decode_bits(const std::string& text);
 
 }  // namespace rnt::service

@@ -28,75 +28,13 @@ using Clock = std::chrono::steady_clock;
 WorkloadKey key_from(const Request& request) {
   WorkloadKey key;
   key.topology = request.get("as", "");
-  key.nodes = static_cast<std::size_t>(request.get_int("nodes", 87));
-  key.links = static_cast<std::size_t>(request.get_int("links", 161));
-  key.candidate_paths =
-      static_cast<std::size_t>(request.get_int("paths", 400));
+  key.nodes = request.get_count("nodes", 87);
+  key.links = request.get_count("links", 161);
+  key.candidate_paths = request.get_count("paths", 400);
   key.seed = static_cast<std::uint64_t>(request.get_int("seed", 1));
   key.intensity = request.get_double("intensity", 5.0);
   key.unit_costs = request.get_bool("unit-costs", false);
   return key;
-}
-
-double total_cost(const exp::Workload& w) {
-  std::vector<std::size_t> all(w.system->path_count());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  return w.costs.subset_cost(*w.system, all);
-}
-
-/// Same algorithm zoo and seeding as cli_commands.cpp run_algorithm(),
-/// with the cached ProbBound tables standing in for a fresh ProbBoundEr
-/// (its construction is deterministic, so the selection is identical).
-/// `optimizer` routes the engine-driven algorithms through the Selector
-/// registry; the default ("rome") reproduces the historical core::rome
-/// call bit for bit.
-core::Selection run_algorithm(const CachedWorkload& cw,
-                              const std::string& algorithm,
-                              const std::string& optimizer, double budget,
-                              core::KernelMode kernel) {
-  const exp::Workload& w = cw.workload;
-  const core::ErEngine* engine = nullptr;
-  std::unique_ptr<core::ErEngine> owned;
-  if (algorithm == "prob-rome") {
-    engine = &cw.prob_bound;
-  } else if (algorithm == "monte-rome") {
-    Rng rng(w.seed * 101);
-    owned = std::make_unique<core::MonteCarloEr>(*w.system, *w.failures, 50,
-                                                 rng);
-    engine = owned.get();
-  } else if (algorithm == "kernel-rome") {
-    // Same mixture and seeding as monte-rome, evaluated by the cached
-    // bit-packed engine — identical selection, shared across requests.
-    engine = &cw.kernel_engine(50, kernel);
-  } else if (algorithm == "select-path") {
-    if (optimizer != "rome") {
-      throw std::invalid_argument(
-          "optimizer does not apply to select-path: it does not run "
-          "through the Selector registry");
-    }
-    Rng rng(w.seed * 103);
-    return core::select_path_budgeted(*w.system, w.costs, budget, rng);
-  } else if (algorithm == "mat-rome") {
-    if (optimizer != "rome") {
-      throw std::invalid_argument(
-          "optimizer does not apply to mat-rome: it does not run through "
-          "the Selector registry");
-    }
-    return core::matrome(*w.system, *w.failures);
-  } else {
-    throw std::invalid_argument(
-        "unknown algorithm (want prob-rome, monte-rome, kernel-rome, "
-        "select-path or mat-rome): " +
-        algorithm);
-  }
-  core::SelectorOptions options;
-  options.seed = w.seed;
-  if (optimizer == "branch-and-bound") {
-    // The cached ProbBound tables double as the admissible pruning bound.
-    options.bound_engine = &cw.prob_bound;
-  }
-  return core::make_selector(optimizer, options)
-      ->select(*w.system, w.costs, budget, *engine);
 }
 
 std::vector<std::size_t> parse_subset(const std::string& csv,
@@ -171,10 +109,68 @@ std::vector<std::size_t> resolve_subset(const Request& request,
       request.get_double("budget-frac", 0.3) * total_cost(cw.workload);
   const core::KernelMode kernel =
       core::parse_kernel_mode(request.get("kernel", "auto"));
-  return run_algorithm(cw, algorithm, optimizer, budget, kernel).paths;
+  return run_algorithm(cw, algorithm, optimizer, kernel, budget).paths;
 }
 
 }  // namespace
+
+double total_cost(const exp::Workload& w) {
+  std::vector<std::size_t> all(w.system->path_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return w.costs.subset_cost(*w.system, all);
+}
+
+core::Selection run_algorithm(const CachedWorkload& cw,
+                              const std::string& algorithm,
+                              const std::string& optimizer,
+                              core::KernelMode kernel, double budget) {
+  const bool registry = algorithm == "prob-rome" ||
+                        algorithm == "monte-rome" ||
+                        algorithm == "kernel-rome";
+  if (!registry && algorithm != "select-path" && algorithm != "mat-rome") {
+    throw std::invalid_argument(
+        "unknown algorithm (want prob-rome, monte-rome, kernel-rome, "
+        "select-path or mat-rome): " +
+        algorithm);
+  }
+  if (!registry && optimizer != "rome") {
+    throw std::invalid_argument("optimizer does not apply to " + algorithm +
+                                ": it does not run through the Selector "
+                                "registry");
+  }
+  if (kernel != core::KernelMode::kAuto && algorithm != "kernel-rome") {
+    throw std::invalid_argument(
+        "kernel does not apply to " + algorithm +
+        ": only kernel-rome runs the bit-packed rank kernel");
+  }
+  const exp::Workload& w = cw.workload;
+  if (algorithm == "select-path") {
+    Rng rng(w.seed * 103);
+    return core::select_path_budgeted(*w.system, w.costs, budget, rng);
+  }
+  if (algorithm == "mat-rome") return core::matrome(*w.system, *w.failures);
+
+  const core::ErEngine* engine = &cw.prob_bound;
+  std::unique_ptr<core::MonteCarloEr> monte;
+  if (algorithm == "monte-rome") {
+    Rng rng(w.seed * 101);
+    monte = std::make_unique<core::MonteCarloEr>(*w.system, *w.failures, 50,
+                                                 rng);
+    engine = monte.get();
+  } else if (algorithm == "kernel-rome") {
+    // Same mixture and seeding as monte-rome, evaluated by the cached
+    // bit-packed engine: the identical selection, shared across requests.
+    engine = &cw.kernel_engine(50, kernel);
+  }
+  core::SelectorOptions options;
+  options.seed = w.seed;
+  if (optimizer == "branch-and-bound") {
+    // The cached ProbBound tables double as the admissible pruning bound.
+    options.bound_engine = &cw.prob_bound;
+  }
+  return core::make_selector(optimizer, options)
+      ->select(*w.system, w.costs, budget, *engine);
+}
 
 PipelineSession::PipelineSession(std::shared_ptr<const CachedWorkload> cw)
     : workload(std::move(cw)),
@@ -183,18 +179,12 @@ PipelineSession::PipelineSession(std::shared_ptr<const CachedWorkload> cw)
       replanner(*workload->workload.system, workload->workload.costs) {}
 
 Service::Service(ServiceConfig config)
-    : config_(config),
-      cache_(config.cache_capacity),
+    : cache_(config.cache_capacity),
       pool_(config.threads) {}
 
 std::size_t Service::session_count() const {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   return sessions_.size();
-}
-
-std::size_t Service::sweep_count() const {
-  std::lock_guard<std::mutex> lock(sweeps_mu_);
-  return sweeps_.size();
 }
 
 std::shared_ptr<PipelineSession> Service::session_for(const WorkloadKey& key) {
@@ -290,7 +280,6 @@ Response Service::dispatch(const Request& request) {
       r.set("cache-size", c.size);
       r.set("cache-hit-rate", c.hit_rate());
       r.set("sessions", session_count());
-      r.set("sweeps", sweep_count());
       r.set("transport-errors", m.transport_errors);
       r.set("threads", pool_.size());
       r.set("open-connections", m.open_connections);
@@ -314,7 +303,7 @@ Response Service::dispatch(const Request& request) {
       const core::KernelMode kernel =
           core::parse_kernel_mode(request.get("kernel", "auto"));
       const core::Selection sel =
-          run_algorithm(*cw, algorithm, optimizer, budget, kernel);
+          run_algorithm(*cw, algorithm, optimizer, kernel, budget);
       Response r;
       r.set("workload", w.topology_name);
       r.set("algorithm", algorithm);
@@ -330,11 +319,10 @@ Response Service::dispatch(const Request& request) {
     case RequestType::kErEval: {
       const auto cw = cache_.get(key_from(request));
       const exp::Workload& w = cw->workload;
-      const std::vector<std::size_t> subset = resolve_subset(request, *cw);
       exp::EvalOptions opts;
-      opts.scenarios =
-          static_cast<std::size_t>(request.get_int("scenarios", 200));
+      opts.scenarios = request.get_count("scenarios", 200);
       opts.identifiability = false;
+      const std::vector<std::size_t> subset = resolve_subset(request, *cw);
       Rng rng = w.eval_rng();
       const auto eval =
           exp::evaluate_selection(*w.system, subset, *w.failures, opts, rng);
@@ -359,11 +347,10 @@ Response Service::dispatch(const Request& request) {
     case RequestType::kIdentifiability: {
       const auto cw = cache_.get(key_from(request));
       const exp::Workload& w = cw->workload;
-      const std::vector<std::size_t> subset = resolve_subset(request, *cw);
       exp::EvalOptions opts;
-      opts.scenarios =
-          static_cast<std::size_t>(request.get_int("scenarios", 200));
+      opts.scenarios = request.get_count("scenarios", 200);
       opts.identifiability = true;
+      const std::vector<std::size_t> subset = resolve_subset(request, *cw);
       Rng rng = w.eval_rng();
       const auto eval =
           exp::evaluate_selection(*w.system, subset, *w.failures, opts, rng);
@@ -498,12 +485,11 @@ Response Service::dispatch(const Request& request) {
       Response r;
       r.set("alive", std::size_t{1});
       r.set("requests", m.requests);
-      r.set("sweeps", sweep_count());
       return r;
     }
     case RequestType::kShardEval: {
       const auto cw = cache_.get(key_from(request));
-      const auto runs = static_cast<std::size_t>(request.get_int("runs", 50));
+      const std::size_t runs = request.get_count("runs", 50);
       if (runs == 0) {
         throw std::invalid_argument("shard-eval: runs must be positive");
       }
@@ -527,14 +513,11 @@ Response Service::dispatch(const Request& request) {
       r.set("ranks", join_subset(ranks));
       return r;
     }
-    case RequestType::kShardSweep:
-      return handle_shard_sweep(request);
     case RequestType::kLocalize: {
       const auto cw = cache_.get(key_from(request));
       const exp::Workload& w = cw->workload;
+      const std::size_t trials = request.get_count("scenarios", 300);
       const std::vector<std::size_t> subset = resolve_subset(request, *cw);
-      const auto trials =
-          static_cast<std::size_t>(request.get_int("scenarios", 300));
       Rng rng = w.eval_rng();
       const auto score = tomo::score_localization(*w.system, subset,
                                                   *w.failures, trials, rng);
@@ -552,7 +535,6 @@ Response Service::dispatch(const Request& request) {
     case RequestType::kLocalizeNode: {
       const auto cw = cache_.get(key_from(request));
       const exp::Workload& w = cw->workload;
-      const std::vector<std::size_t> subset = resolve_subset(request, *cw);
       const std::string family = request.get("family", "node");
       boolnt::HypothesisSpace space =
           family == "link"
@@ -562,14 +544,13 @@ Response Service::dispatch(const Request& request) {
         throw std::invalid_argument(
             "localize-node: family must be node or link");
       }
-      const auto k = static_cast<std::size_t>(request.get_int("k", 2));
+      const std::size_t k = request.get_count("k", 2);
       if (k == 0) {
         throw std::invalid_argument("localize-node: k must be positive");
       }
-      const auto trials =
-          static_cast<std::size_t>(request.get_int("scenarios", 300));
-      const auto ident_cap =
-          static_cast<std::size_t>(request.get_int("ident-cap", 0));
+      const std::size_t trials = request.get_count("scenarios", 300);
+      const std::size_t ident_cap = request.get_count("ident-cap", 0);
+      const std::vector<std::size_t> subset = resolve_subset(request, *cw);
       Rng rng = w.eval_rng();
       const auto score = boolnt::score_multi_localization(
           *w.system, subset, space, k, trials, rng);
@@ -602,7 +583,6 @@ Response Service::dispatch(const Request& request) {
     case RequestType::kInfer: {
       const auto cw = cache_.get(key_from(request));
       const exp::Workload& w = cw->workload;
-      const std::vector<std::size_t> subset = resolve_subset(request, *cw);
       infer::InferenceConfig config;
       config.model =
           infer::parse_measurement_model(request.get("model", "delay"));
@@ -610,11 +590,11 @@ Response Service::dispatch(const Request& request) {
       if (config.noise_std < 0.0) {
         throw std::invalid_argument("infer: noise must be non-negative");
       }
-      config.scenarios =
-          static_cast<std::size_t>(request.get_int("scenarios", 200));
+      config.scenarios = request.get_count("scenarios", 200);
       // One solver worker: handler concurrency already comes from the
       // request pool, and threads=1 keeps per-request latency honest.
       config.threads = 1;
+      const std::vector<std::size_t> subset = resolve_subset(request, *cw);
       const infer::GroundTruth truth = infer::campaign_truth(
           config.model, w.system->link_count(), w.seed, config.truth);
       const auto solve_start = Clock::now();
@@ -644,110 +624,6 @@ Response Service::dispatch(const Request& request) {
   throw std::logic_error("Service::dispatch: unhandled request type");
 }
 
-Response Service::handle_shard_sweep(const Request& request) {
-  const std::string op = request.get("op", "");
-  const std::string sweep = request.get("sweep", "");
-  if (sweep.empty()) {
-    throw std::invalid_argument("shard-sweep: sweep= id required");
-  }
-  const std::int64_t begin = request.get_int("begin", -1);
-  const std::int64_t end = request.get_int("end", -1);
-  if (begin < 0 || end < begin) {
-    throw std::invalid_argument("shard-sweep: bad begin=/end= slice");
-  }
-  // Sessions are keyed by id *and* slice: after failover the replacement
-  // worker re-creates exactly the slice it inherited, and two slices of
-  // one sweep landing on the same worker stay independent.
-  const std::string key = sweep + "/" + std::to_string(begin) + "-" +
-                          std::to_string(end);
-
-  if (op == "init") {
-    const auto cw = cache_.get(key_from(request));
-    const auto runs = static_cast<std::size_t>(request.get_int("runs", 50));
-    if (runs == 0) {
-      throw std::invalid_argument("shard-sweep: runs must be positive");
-    }
-    const core::KernelErEngine& engine = cw->kernel_engine(
-        runs, core::parse_kernel_mode(request.get("kernel", "auto")));
-    if (static_cast<std::size_t>(end) > engine.scenario_count()) {
-      throw std::invalid_argument("shard-sweep: slice exceeds scenario count");
-    }
-    auto session = std::make_shared<SweepSession>();
-    session->workload = cw;
-    session->shard = engine.make_shard_accumulator(
-        static_cast<std::size_t>(begin), static_cast<std::size_t>(end));
-    // Replay the committed selection so a session re-created after
-    // failover holds the exact basis state of the one it replaces.
-    const std::string committed_csv = request.get("committed", "");
-    if (!committed_csv.empty()) {
-      for (std::size_t p :
-           parse_subset(committed_csv, cw->workload.system->path_count())) {
-        session->add_bits[p] =
-            encode_bits(session->shard->add(p));
-        session->committed.push_back(p);
-      }
-    }
-    const std::size_t replayed = session->committed.size();
-    std::lock_guard<std::mutex> lock(sweeps_mu_);
-    if (!sweeps_.contains(key) &&
-        sweeps_.size() >= config_.max_sweep_sessions) {
-      throw std::invalid_argument("shard-sweep: too many live sweep sessions");
-    }
-    sweeps_[key] = std::move(session);  // Re-init replaces (idempotent).
-    Response r;
-    r.set("ready", std::size_t{1});
-    r.set("committed", replayed);
-    return r;
-  }
-
-  if (op == "end") {
-    std::lock_guard<std::mutex> lock(sweeps_mu_);
-    const std::size_t erased = sweeps_.erase(key);
-    Response r;
-    r.set("ended", erased);
-    return r;
-  }
-
-  if (op != "probe" && op != "add") {
-    throw std::invalid_argument(
-        "shard-sweep: op must be init, probe, add or end");
-  }
-  std::shared_ptr<SweepSession> session;
-  {
-    std::lock_guard<std::mutex> lock(sweeps_mu_);
-    const auto it = sweeps_.find(key);
-    if (it == sweeps_.end()) {
-      throw std::invalid_argument("shard-sweep: unknown session " + key);
-    }
-    session = it->second;
-  }
-  const std::int64_t path = request.get_int("path", -1);
-  const std::size_t path_count =
-      session->workload->workload.system->path_count();
-  if (path < 0 || static_cast<std::size_t>(path) >= path_count) {
-    throw std::invalid_argument("shard-sweep: path out of range");
-  }
-  const auto p = static_cast<std::size_t>(path);
-  std::lock_guard<std::mutex> lock(session->mu);
-  Response r;
-  if (op == "probe") {
-    r.set("bits", encode_bits(session->shard->probe(p)));
-  } else {
-    // Idempotent add: a retry of a delivered-but-unacknowledged add must
-    // not commit the path twice (the second try_add would flip the bits).
-    const auto it = session->add_bits.find(p);
-    if (it != session->add_bits.end()) {
-      r.set("bits", it->second);
-    } else {
-      const std::string bits = encode_bits(session->shard->add(p));
-      session->add_bits.emplace(p, bits);
-      session->committed.push_back(p);
-      r.set("bits", bits);
-    }
-  }
-  return r;
-}
-
 std::string Service::summary() const {
   const ServiceMetrics::Snapshot m = metrics_.snapshot();
   const WorkloadCache::Counters c = cache_.counters();
@@ -764,8 +640,7 @@ std::string Service::summary() const {
   out << "  cache:     " << c.hits << " hits / " << c.misses
       << " misses (hit rate " << c.hit_rate() << "), " << c.size
       << " resident, " << c.evictions << " evictions\n";
-  out << "  sessions:  " << session_count() << " adaptive, " << sweep_count()
-      << " sweep\n";
+  out << "  sessions:  " << session_count() << " adaptive\n";
   return out.str();
 }
 

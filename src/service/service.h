@@ -16,14 +16,10 @@
 // CachedWorkload with a shared_ptr, so LRU eviction from the cache never
 // invalidates a live session's PathSystem or cost model.
 //
-// The cluster verbs (`worker-hello`, `heartbeat`, `shard-eval`,
-// `shard-sweep`) make the service usable as a cluster worker: shard-eval
-// returns exact integer scenario ranks for a contiguous slice, and
-// shard-sweep runs a slice-local KernelShardAccumulator session keyed by
-// "<sweep-id>/<begin>-<end>".  Sweep sessions are idempotent under retry
-// (a re-sent `add` returns the stored bits instead of re-committing) and
-// re-creatable after failover (`init` replays the committed path list),
-// so at-least-once RPC delivery cannot change any answer.
+// The cluster verbs (`worker-hello`, `heartbeat`, `shard-eval`) make the
+// service usable as a cluster worker: shard-eval returns exact integer
+// scenario ranks for a contiguous slice.  It is stateless, so
+// at-least-once RPC delivery cannot change any answer.
 #pragma once
 
 #include <functional>
@@ -33,6 +29,7 @@
 #include <mutex>
 #include <string>
 
+#include "core/selection.h"
 #include "online/drift_detector.h"
 #include "online/link_estimator.h"
 #include "online/replanner.h"
@@ -60,24 +57,27 @@ struct PipelineSession {
   std::size_t drift_triggers = 0;
 };
 
-/// One slice-local RoMe sweep: the shard accumulator plus the committed
-/// path list and per-path reply memo that make `add` idempotent and the
-/// whole session replayable on another worker.  Request threads serialize
-/// on `mu`; the workload shared_ptr pins the engine across evictions.
-struct SweepSession {
-  std::shared_ptr<const CachedWorkload> workload;
-  std::unique_ptr<core::KernelShardAccumulator> shard;
-
-  std::mutex mu;
-  std::vector<std::size_t> committed;           ///< In add order.
-  std::map<std::size_t, std::string> add_bits;  ///< Path -> encoded reply.
-};
-
 struct ServiceConfig {
   std::size_t threads = 0;         ///< Pool size; 0 = hardware concurrency.
   std::size_t cache_capacity = 8;  ///< Resident workloads (LRU bound).
-  std::size_t max_sweep_sessions = 256;  ///< Live shard-sweep bound.
 };
+
+/// Cost of probing every candidate path: what `budget-frac` scales.
+double total_cost(const exp::Workload& w);
+
+/// The algorithm dispatcher behind the `select` verb and every rnt_cli
+/// command that selects paths, so both front ends run (and reject) the
+/// same things.  prob-rome, monte-rome and kernel-rome run `optimizer`
+/// (a Selector registry name; "rome" is core::rome) over the cached
+/// ProbBound tables, a fresh 50-scenario MonteCarloEr, or the cached
+/// bit-packed engine over that same mixture.  select-path and mat-rome
+/// bypass the registry and accept only optimizer "rome".  A `kernel` other
+/// than kAuto applies only to kernel-rome.  Throws std::invalid_argument
+/// on an unknown algorithm or a combination that does not apply.
+core::Selection run_algorithm(const CachedWorkload& cw,
+                              const std::string& algorithm,
+                              const std::string& optimizer,
+                              core::KernelMode kernel, double budget);
 
 class Service {
  public:
@@ -118,15 +118,12 @@ class Service {
   /// Number of live adaptive pipeline sessions.
   std::size_t session_count() const;
 
-  /// Number of live shard-sweep sessions.
-  std::size_t sweep_count() const;
-
   /// Counts one reply the transport could not deliver (called by the TCP
   /// server when a send fails); surfaces as `transport-errors` in stats.
   void note_transport_error() { metrics_.record_transport_error(); }
 
   /// Reactor front-end observability: counters and gauges surfaced by
-  /// the `stats` verb (the threaded server leaves them at zero).
+  /// the `stats` verb (in-process callers leave them at zero).
   void note_shed_request() { metrics_.note_shed_request(); }
   void note_shed_connection() { metrics_.note_shed_connection(); }
   void note_idle_timeout() { metrics_.note_idle_timeout(); }
@@ -147,15 +144,10 @@ class Service {
   /// workload through the cache when needed).
   std::shared_ptr<PipelineSession> session_for(const WorkloadKey& key);
 
-  Response handle_shard_sweep(const Request& request);
-
-  ServiceConfig config_;
   WorkloadCache cache_;
   ServiceMetrics metrics_;
   mutable std::mutex sessions_mu_;
   std::map<WorkloadKey, std::shared_ptr<PipelineSession>> sessions_;
-  mutable std::mutex sweeps_mu_;
-  std::map<std::string, std::shared_ptr<SweepSession>> sweeps_;
   ThreadPool pool_;
 };
 

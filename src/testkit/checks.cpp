@@ -708,12 +708,6 @@ CheckResult check_protocol_framing(const TestInstance& inst,
     } catch (...) {
       return "parse_response";
     }
-    try {
-      (void)service::decode_bits(line);
-    } catch (const std::invalid_argument&) {
-    } catch (...) {
-      return "decode_bits";
-    }
     return nullptr;
   };
   for (int round = 0; round < 64; ++round) {
@@ -738,10 +732,9 @@ CheckResult check_protocol_framing(const TestInstance& inst,
   // Single-byte corruption of a well-formed request must stay inside the
   // same contract.
   service::Request request;
-  request.type = service::RequestType::kShardSweep;
-  request.params = {{"sweep", "swp-1-" + std::to_string(rng.index(1000))},
-                    {"op", "probe"},
-                    {"path", std::to_string(rng.index(inst.path_count()))},
+  request.type = service::RequestType::kShardEval;
+  request.params = {{"subset", std::to_string(rng.index(inst.path_count()))},
+                    {"runs", std::to_string(1 + rng.index(1000))},
                     {"begin", "0"},
                     {"end", std::to_string(inst.path_count())}};
   const std::string wire = service::format_request(request);
@@ -777,13 +770,6 @@ CheckResult check_protocol_framing(const TestInstance& inst,
   if (!rback.ok || rback.number("er") != response.number("er") ||
       rback.number("tiny") != response.number("tiny")) {
     return CheckResult::fail("response doubles not bitwise across the wire");
-  }
-
-  // Packed shard bits round-trip exactly at awkward word counts.
-  std::vector<std::uint64_t> words(1 + rng.index(5));
-  for (std::uint64_t& w : words) w = rng.next_word();
-  if (service::decode_bits(service::encode_bits(words)) != words) {
-    return CheckResult::fail("encode_bits/decode_bits round trip failed");
   }
   return CheckResult::ok();
 }
@@ -1359,7 +1345,7 @@ const std::vector<Check>& all_checks() {
        1, true, check_sliced_matches_scenario},
       {"protocol-framing",
        "hostile bytes never escape the line parsers; well-formed "
-       "requests, doubles and shard bits round-trip exactly",
+       "requests and doubles round-trip exactly",
        1, true, check_protocol_framing},
       {"inference-roundtrip",
        "zero-noise inference matches ground truth to 1e-9 on every "

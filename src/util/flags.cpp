@@ -59,6 +59,10 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t def) {
   }
 }
 
+std::size_t Flags::get_count(const std::string& name, std::size_t def) {
+  return to_count(get_int(name, static_cast<std::int64_t>(def)), name);
+}
+
 double Flags::get_double(const std::string& name, double def) {
   auto v = raw(name);
   if (!v) return def;
@@ -85,6 +89,14 @@ void Flags::finish() const {
       throw std::invalid_argument("unknown flag: --" + name);
     }
   }
+}
+
+std::size_t to_count(std::int64_t value, const std::string& name) {
+  if (value < 0) {
+    throw std::invalid_argument(name + " must be non-negative, got " +
+                                std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
 }
 
 }  // namespace rnt

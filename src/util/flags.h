@@ -24,6 +24,8 @@ class Flags {
   /// Typed getters.  Each records the flag as "known".
   std::string get_string(const std::string& name, std::string def);
   std::int64_t get_int(const std::string& name, std::int64_t def);
+  /// get_int narrowed by to_count: negative values are rejected.
+  std::size_t get_count(const std::string& name, std::size_t def);
   double get_double(const std::string& name, double def);
   bool get_bool(const std::string& name, bool def);
 
@@ -40,5 +42,10 @@ class Flags {
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> consumed_;
 };
+
+/// Narrows a count read from a flag or request parameter.  A negative
+/// value throws std::invalid_argument naming `name`: a plain cast would
+/// wrap -1 to 2^64-1 and turn a scenario loop into an endless one.
+std::size_t to_count(std::int64_t value, const std::string& name);
 
 }  // namespace rnt

@@ -5,8 +5,11 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli_commands.h"
+#include "service/service.h"
 #include "util/flags.h"
 
 namespace rnt::cli {
@@ -200,6 +203,70 @@ TEST(CliDispatch, UnknownFlagFailsLoudly) {
   const char* argv[] = {"rnt_cli", "topology", "--oops", "1"};
   EXPECT_THROW(dispatch(4, const_cast<char**>(argv), out),
                std::invalid_argument);
+}
+
+TEST(CliCounts, NegativeCountIsRejectedNotWrapped) {
+  // A cast would turn -1 into 2^64 - 1 scenarios: a command that never
+  // finishes.  It must fail fast instead.
+  for (const char* command : {"localize", "evaluate"}) {
+    const char* argv[] = {"rnt_cli", command, "--nodes",     "20",
+                          "--links", "30",    "--paths",     "30",
+                          "--scenarios", "-1"};
+    std::ostringstream out;
+    try {
+      dispatch(10, const_cast<char**>(argv), out);
+      ADD_FAILURE() << command << " accepted --scenarios -1";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "scenarios must be non-negative, got -1")
+          << command;
+    }
+  }
+  const char* argv[] = {"rnt_cli", "localize-node", "--nodes", "20",
+                        "--links", "30", "--paths", "30", "--k", "-1"};
+  std::ostringstream out;
+  EXPECT_THROW(dispatch(10, const_cast<char**>(argv), out),
+               std::invalid_argument);
+}
+
+// The CLI and the service share one algorithm dispatcher, so a bad
+// combination fails the same way, with the same text, on both.
+TEST(FrontEnds, RejectTheSameBadInputsWithTheSameText) {
+  struct Case {
+    std::vector<std::string> flags;  ///< CLI flags, after the workload.
+    std::string request;             ///< Service keys, after the workload.
+  };
+  const std::vector<Case> cases{
+      {{"--algorithm", "magic"}, "algorithm=magic"},
+      {{"--algorithm", "mat-rome", "--optimizer", "eager"},
+       "algorithm=mat-rome optimizer=eager"},
+      {{"--algorithm", "select-path", "--optimizer", "lazy-greedy"},
+       "algorithm=select-path optimizer=lazy-greedy"},
+      {{"--algorithm", "prob-rome", "--kernel", "sliced"},
+       "algorithm=prob-rome kernel=sliced"},
+      {{"--algorithm", "monte-rome", "--kernel", "sliced"},
+       "algorithm=monte-rome kernel=sliced"},
+  };
+  service::Service svc(service::ServiceConfig{.threads = 1,
+                                              .cache_capacity = 1});
+  for (const Case& c : cases) {
+    std::vector<const char*> args{"--nodes", "16", "--links", "32",
+                                  "--paths", "24"};
+    for (const std::string& f : c.flags) args.push_back(f.c_str());
+    auto flags = make_flags(args);
+    std::ostringstream out;
+    std::string cli_error;
+    try {
+      cmd_select(flags, out);
+    } catch (const std::invalid_argument& e) {
+      cli_error = e.what();
+    }
+    const service::Response reply =
+        svc.handle_line("select nodes=16 links=32 paths=24 " + c.request);
+    ASSERT_FALSE(cli_error.empty()) << c.request;
+    ASSERT_FALSE(reply.ok) << c.request;
+    EXPECT_EQ(reply.error, cli_error) << c.request;
+  }
 }
 
 }  // namespace

@@ -3,10 +3,9 @@
 //
 // The acceptance property throughout: whatever the worker count, the
 // slice weights, or which worker dies mid-run, the cluster's ER values
-// and RoMe selections must be *bitwise* identical to the single-node
-// KernelErEngine — workers only ever ship integers (ranks and
-// independence bits), and the coordinator replays the engine's exact
-// float summation order.  EXPECT_EQ on doubles here is deliberate.
+// must be *bitwise* identical to the single-node KernelErEngine — workers
+// only ever ship integer ranks, and the coordinator replays the engine's
+// exact float summation order.  EXPECT_EQ on doubles here is deliberate.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,25 +13,30 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_commands.h"
 #include "cluster/cluster_client.h"
 #include "cluster/coordinator.h"
 #include "cluster/shard_planner.h"
 #include "core/rome.h"
+#include "fleet.h"
 #include "service/client.h"
 #include "service/protocol.h"
-#include "service/server.h"
+#include "service/service.h"
 #include "service/workload_cache.h"
+#include "util/flags.h"
 
 namespace rnt::cluster {
 namespace {
+
+using testutil::Fleet;
 
 // --------------------------------------------------------------------------
 // Shard planner
@@ -109,20 +113,7 @@ TEST(ShardPlanner, AssignOwnersKeepsAliveAndFailsOverRoundRobin) {
 }
 
 // --------------------------------------------------------------------------
-// Bit-vector wire codec
-// --------------------------------------------------------------------------
-
-TEST(BitCodec, RoundTripsAndRejectsGarbage) {
-  const std::vector<std::uint64_t> words{0x0123456789abcdefULL, 0, ~0ULL};
-  EXPECT_EQ(service::decode_bits(service::encode_bits(words)), words);
-  EXPECT_TRUE(service::encode_bits({}).empty());
-  EXPECT_THROW(service::decode_bits("abc"), std::invalid_argument);
-  EXPECT_THROW(service::decode_bits("000000000000000Z"),
-               std::invalid_argument);
-}
-
-// --------------------------------------------------------------------------
-// In-process worker fleet
+// Shared workload and coordinator settings
 // --------------------------------------------------------------------------
 
 constexpr std::size_t kRuns = 25;
@@ -142,66 +133,6 @@ std::string key_params() {
          std::to_string(kRuns);
 }
 
-/// N loopback worker processes' worth of TcpServers, each on its own
-/// ephemeral port with its own reader threads — the full wire path, one
-/// process.
-class Fleet {
- public:
-  explicit Fleet(std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      auto worker = std::make_unique<Worker>();
-      worker->server = std::make_unique<service::TcpServer>(
-          service::ServerConfig{.port = 0,
-                                .threads = 2,
-                                .cache_capacity = 2,
-                                .request_timeout_s = 120.0});
-      worker->port = worker->server->port();
-      worker->runner = std::thread(
-          [srv = worker->server.get()] { srv->run(); });
-      workers_.push_back(std::move(worker));
-    }
-  }
-
-  ~Fleet() {
-    for (std::size_t i = 0; i < workers_.size(); ++i) kill(i);
-  }
-
-  std::vector<WorkerEndpoint> endpoints(
-      std::vector<double> weights = {}) const {
-    std::vector<WorkerEndpoint> eps;
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      WorkerEndpoint ep;
-      ep.port = workers_[i]->port;
-      ep.weight = i < weights.size() ? weights[i] : 1.0;
-      eps.push_back(ep);
-    }
-    return eps;
-  }
-
-  /// Stops worker `i` for good and destroys the server, so the listen fd
-  /// closes and reconnects are *refused* — exactly like a killed process.
-  /// (Merely stopping the server would leave the kernel accept queue
-  /// open: a blackhole that costs a full reply deadline per failover.)
-  /// Idempotent.
-  void kill(std::size_t i) {
-    Worker& w = *workers_[i];
-    if (w.stopped) return;
-    w.stopped = true;
-    w.server->stop();
-    w.runner.join();
-    w.server.reset();
-  }
-
- private:
-  struct Worker {
-    std::unique_ptr<service::TcpServer> server;
-    std::uint16_t port = 0;
-    std::thread runner;
-    bool stopped = false;
-  };
-  std::vector<std::unique_ptr<Worker>> workers_;
-};
-
 CoordinatorConfig fast_config() {
   CoordinatorConfig config;
   config.runs = kRuns;
@@ -213,9 +144,7 @@ CoordinatorConfig fast_config() {
 }
 
 double budget_for(const exp::Workload& w, double frac) {
-  std::vector<std::size_t> all(w.system->path_count());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  return frac * w.costs.subset_cost(*w.system, all);
+  return frac * service::total_cost(w);
 }
 
 // --------------------------------------------------------------------------
@@ -257,20 +186,42 @@ TEST(Cluster, UnevenWeightsStillMergeBitwise) {
 }
 
 TEST(Cluster, SelectBitwiseMatchesSingleNode) {
+  // rnt_cli cluster end to end: RoMe runs on the coordinator's own
+  // engine — the same bits as a single-node run on an independently
+  // built twin — and --verify demands the shard-eval ER bitwise too.
   Fleet fleet(2);
+  const std::vector<WorkerEndpoint> eps = fleet.endpoints();
+  const std::string workers =
+      std::to_string(eps[0].port) + "," + std::to_string(eps[1].port);
+  const std::string runs = std::to_string(kRuns);
+  std::vector<const char*> args{"cluster", "--workers", workers.c_str(),
+                                "--nodes", "30", "--links", "60",
+                                "--paths", "40", "--seed", "3",
+                                "--runs", runs.c_str(),
+                                "--budget-fracs", "0.15,0.3"};
+  Flags flags(static_cast<int>(args.size()), args.data());
+  std::ostringstream out;
+  ASSERT_EQ(cli::cmd_cluster(flags, out), 0) << out.str();
+  EXPECT_NE(out.str().find("verified: cluster ER bitwise identical"),
+            std::string::npos)
+      << out.str();
+
   Coordinator coord(test_key(), fleet.endpoints(), fast_config());
+  service::WorkloadCache cache(1);
+  const auto twin = cache.get(test_key());
   const exp::Workload& w = coord.workload().workload;
   for (const double frac : {0.15, 0.3}) {
     const double budget = budget_for(w, frac);
-    core::RomeStats cluster_stats;
-    const core::Selection sel = coord.select(budget, &cluster_stats);
-    const core::Selection local =
+    const core::Selection sel =
         core::rome(*w.system, w.costs, budget, coord.engine());
+    const core::Selection local =
+        core::rome(*twin->workload.system, twin->workload.costs, budget,
+                   twin->kernel_engine(kRuns));
     ASSERT_FALSE(sel.paths.empty());
     EXPECT_EQ(sel.paths, local.paths);
-    EXPECT_EQ(sel.cost, local.cost);
     EXPECT_EQ(sel.objective, local.objective);  // Bitwise.
-    EXPECT_GT(cluster_stats.gain_evaluations, 0u);
+    EXPECT_EQ(coord.evaluate(sel.paths),
+              twin->kernel_engine(kRuns).evaluate(local.paths));
   }
   EXPECT_EQ(coord.failovers(), 0u);
 }
@@ -278,58 +229,6 @@ TEST(Cluster, SelectBitwiseMatchesSingleNode) {
 // --------------------------------------------------------------------------
 // Failover
 // --------------------------------------------------------------------------
-
-TEST(Cluster, WorkerKilledDuringGainSweepDoesNotChangeSelection) {
-  Fleet fleet(2);
-  Coordinator coord(test_key(), fleet.endpoints(), fast_config());
-  const exp::Workload& w = coord.workload().workload;
-  const double budget = budget_for(w, 0.3);
-
-  // Kill worker 1 at the 13th sweep fan-out — deterministically inside
-  // the best-single gain sweep, while its sessions are live.
-  std::atomic<bool> killed{false};
-  coord.set_fault_hook([&](std::size_t op) {
-    if (op == 12 && !killed.exchange(true)) fleet.kill(1);
-  });
-  const core::Selection sel = coord.select(budget);
-  ASSERT_TRUE(killed.load());
-
-  const core::Selection local =
-      core::rome(*w.system, w.costs, budget, coord.engine());
-  EXPECT_EQ(sel.paths, local.paths);
-  EXPECT_EQ(sel.cost, local.cost);
-  EXPECT_EQ(sel.objective, local.objective);  // Bitwise despite the kill.
-  EXPECT_GE(coord.failovers(), 1u);
-  EXPECT_EQ(coord.alive_workers(), 1u);
-}
-
-TEST(Cluster, WorkerKilledMidGreedyReplaysCommittedSelection) {
-  Fleet fleet(2);
-  Coordinator coord(test_key(), fleet.endpoints(), fast_config());
-  const exp::Workload& w = coord.workload().workload;
-  const double budget = budget_for(w, 0.3);
-
-  // Late kill: deep into the greedy phase, after paths have been
-  // committed — the inheriting worker must rebuild the session by
-  // replaying the committed selection to stay bit-exact.
-  std::atomic<bool> killed{false};
-  coord.set_fault_hook([&](std::size_t op) {
-    if (op == 95 && !killed.exchange(true)) fleet.kill(0);
-  });
-  const core::Selection sel = coord.select(budget);
-  ASSERT_TRUE(killed.load());
-
-  const core::Selection local =
-      core::rome(*w.system, w.costs, budget, coord.engine());
-  EXPECT_EQ(sel.paths, local.paths);
-  EXPECT_EQ(sel.objective, local.objective);
-  EXPECT_GE(coord.failovers(), 1u);
-  EXPECT_EQ(coord.alive_workers(), 1u);
-
-  // The survivor keeps answering: a post-failover evaluate is still the
-  // single-node answer.
-  EXPECT_EQ(coord.evaluate(sel.paths), coord.engine().evaluate(sel.paths));
-}
 
 TEST(Cluster, EvaluateFailsOverAfterWorkerDeath) {
   Fleet fleet(3);
@@ -432,76 +331,6 @@ TEST(ClusterVerbs, ShardEvalEqualsEngineSliceRanks) {
           client.call_line("shard-eval " + key_params() +
                            " subset=0 begin=0 end=9999"))
           .ok);
-}
-
-TEST(ClusterVerbs, SweepAddIsIdempotentAndReplaysCommitted) {
-  Fleet fleet(1);
-  service::WorkloadCache cache(1);
-  const auto cw = cache.get(test_key());
-  const core::KernelErEngine& engine = cw->kernel_engine(kRuns);
-
-  // Local twin of the worker's session.
-  const auto twin = engine.make_shard_accumulator(0, kRuns);
-
-  service::TcpClient client("127.0.0.1", fleet.endpoints()[0].port, 30.0);
-  const std::string slice = " begin=0 end=" + std::to_string(kRuns);
-  ASSERT_TRUE(service::parse_response(
-                  client.call_line("shard-sweep sweep=s1 op=init" + slice +
-                                   " " + key_params()))
-                  .ok);
-
-  const service::Response probe = service::parse_response(
-      client.call_line("shard-sweep sweep=s1 op=probe path=3" + slice));
-  ASSERT_TRUE(probe.ok) << probe.error;
-  EXPECT_EQ(probe.at("bits"), service::encode_bits(twin->probe(3)));
-
-  const service::Response add = service::parse_response(
-      client.call_line("shard-sweep sweep=s1 op=add path=3" + slice));
-  ASSERT_TRUE(add.ok) << add.error;
-  EXPECT_EQ(add.at("bits"), service::encode_bits(twin->add(3)));
-
-  // A retried add must return the memoized bits, not re-commit.
-  const service::Response again = service::parse_response(
-      client.call_line("shard-sweep sweep=s1 op=add path=3" + slice));
-  ASSERT_TRUE(again.ok) << again.error;
-  EXPECT_EQ(again.at("bits"), add.at("bits"));
-
-  const service::Response probe2 = service::parse_response(
-      client.call_line("shard-sweep sweep=s1 op=probe path=5" + slice));
-  ASSERT_TRUE(probe2.ok) << probe2.error;
-  EXPECT_EQ(probe2.at("bits"), service::encode_bits(twin->probe(5)));
-
-  // Failover replay: a fresh session initialized with committed=3 must
-  // answer exactly like the original session.
-  const service::Response replay = service::parse_response(
-      client.call_line("shard-sweep sweep=s2 op=init committed=3" + slice +
-                       " " + key_params()));
-  ASSERT_TRUE(replay.ok) << replay.error;
-  EXPECT_EQ(replay.at("committed"), "1");
-  const service::Response probe3 = service::parse_response(
-      client.call_line("shard-sweep sweep=s2 op=probe path=5" + slice));
-  ASSERT_TRUE(probe3.ok) << probe3.error;
-  EXPECT_EQ(probe3.at("bits"), probe2.at("bits"));
-
-  // Unknown sessions and ops are structured errors.
-  EXPECT_FALSE(service::parse_response(
-                   client.call_line("shard-sweep sweep=nope op=probe path=1" +
-                                    slice))
-                   .ok);
-  EXPECT_FALSE(service::parse_response(
-                   client.call_line("shard-sweep sweep=s1 op=warp path=1" +
-                                    slice))
-                   .ok);
-
-  // end is idempotent too.
-  EXPECT_EQ(service::parse_response(
-                client.call_line("shard-sweep sweep=s1 op=end" + slice))
-                .at("ended"),
-            "1");
-  EXPECT_EQ(service::parse_response(
-                client.call_line("shard-sweep sweep=s1 op=end" + slice))
-                .at("ended"),
-            "0");
 }
 
 // --------------------------------------------------------------------------

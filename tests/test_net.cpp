@@ -2,12 +2,12 @@
 // end (service::ReactorServer).
 //
 // The acceptance property throughout: the reactor front end must be
-// observationally identical to the threaded TcpServer — byte-identical
+// observationally identical to the in-process Service — byte-identical
 // reply lines for the same request lines — while adding the overload
-// behaviour the threaded server cannot express: explicit admission
-// shedding (`error overloaded: ...`, never a hung or dropped
-// connection), connection caps below RLIMIT_NOFILE, and idle eviction
-// of slow-loris clients.  Everything here is deterministic in-process
+// behaviour a transport needs: explicit admission shedding
+// (`error overloaded: ...`, never a hung or dropped connection),
+// connection caps below RLIMIT_NOFILE, and idle eviction of slow-loris
+// clients.  Everything here is deterministic in-process
 // loopback: no sleeps standing in for synchronisation, no timing
 // assertions tighter than the test's own read deadlines.
 #include <gtest/gtest.h>
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "cluster/coordinator.h"
+#include "fleet.h"
 #include "net/framing.h"
 #include "net/poller.h"
 #include "net/reactor.h"
@@ -38,7 +39,7 @@
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/reactor_server.h"
-#include "service/server.h"
+#include "service/service.h"
 
 namespace rnt {
 namespace {
@@ -360,17 +361,13 @@ class ReactorFixture {
 };
 
 // --------------------------------------------------------------------------
-// Reactor front end: byte-identical to the threaded server
+// Reactor front end: byte-identical to the in-process service
 // --------------------------------------------------------------------------
 
-TEST(ReactorServer, RepliesAreByteIdenticalToThreadedServerOnEveryBackend) {
-  // Same request lines, one threaded server, one reactor per backend:
+TEST(ReactorServer, RepliesAreByteIdenticalToInProcessServiceOnEveryBackend) {
+  // Same request lines, one in-process Service, one reactor per backend:
   // every reply line must match byte for byte — success payloads, parse
   // errors, handler errors, the lot.
-  service::TcpServer threaded(
-      service::ServerConfig{.port = 0, .threads = 2, .cache_capacity = 2});
-  std::thread threaded_runner([&threaded] { threaded.run(); });
-
   const std::vector<std::string> lines{
       "ping",
       "select nodes=30 links=60 paths=30 seed=3 intensity=5 budget-frac=0.3",
@@ -385,13 +382,13 @@ TEST(ReactorServer, RepliesAreByteIdenticalToThreadedServerOnEveryBackend) {
 
   std::vector<std::string> expected;
   {
-    service::TcpClient client("127.0.0.1", threaded.port(), 30.0);
+    service::Service in_process(
+        service::ServiceConfig{.threads = 2, .cache_capacity = 2});
     for (const std::string& line : lines) {
-      expected.push_back(client.call_line(line));
+      expected.push_back(
+          service::format_response(in_process.handle_line(line)));
     }
   }
-  threaded.stop();
-  threaded_runner.join();
 
   for (const PollBackend backend : available_backends()) {
     ReactorFixture reactor(ReactorServerConfig{
@@ -601,26 +598,6 @@ TEST(ReactorServer, StatsVerbSurfacesReactorCountersAndTheyMove) {
   EXPECT_NO_THROW((void)stats.number("queue-depth"));
 }
 
-TEST(TcpServerStats, ThreadedServerEmitsTheSameFieldsAsZeros) {
-  // Both front ends answer `stats` with the same schema; the threaded
-  // server simply never bumps the reactor counters.
-  service::TcpServer server(service::ServerConfig{.port = 0, .threads = 1});
-  std::thread runner([&server] { server.run(); });
-  {
-    service::TcpClient client("127.0.0.1", server.port(), 30.0);
-    const Response stats = parse_response(client.call_line("stats"));
-    ASSERT_TRUE(stats.ok) << stats.error;
-    EXPECT_EQ(stats.at("open-connections"), "0");
-    EXPECT_EQ(stats.at("queue-depth"), "0");
-    EXPECT_EQ(stats.at("shed-requests"), "0");
-    EXPECT_EQ(stats.at("shed-connections"), "0");
-    EXPECT_EQ(stats.at("idle-timeouts"), "0");
-    EXPECT_EQ(stats.at("pipelined-requests"), "0");
-  }
-  server.stop();
-  runner.join();
-}
-
 // --------------------------------------------------------------------------
 // Blocking TcpClient hardening (peer vanishing mid-reply)
 // --------------------------------------------------------------------------
@@ -753,62 +730,8 @@ service::WorkloadKey cluster_key() {
   return key;
 }
 
-/// The test_cluster Fleet, with ReactorServer workers: same wire, same
-/// verbs, event-loop front end.
-class ReactorFleet {
- public:
-  explicit ReactorFleet(std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      auto worker = std::make_unique<Worker>();
-      worker->server = std::make_unique<ReactorServer>(
-          ReactorServerConfig{.port = 0,
-                              .threads = 2,
-                              .cache_capacity = 2,
-                              .request_timeout_s = 120.0});
-      worker->port = worker->server->port();
-      worker->runner =
-          std::thread([srv = worker->server.get()] { srv->run(); });
-      workers_.push_back(std::move(worker));
-    }
-  }
-
-  ~ReactorFleet() {
-    for (std::size_t i = 0; i < workers_.size(); ++i) kill(i);
-  }
-
-  std::vector<cluster::WorkerEndpoint> endpoints() const {
-    std::vector<cluster::WorkerEndpoint> eps;
-    for (const auto& w : workers_) {
-      cluster::WorkerEndpoint ep;
-      ep.port = w->port;
-      eps.push_back(ep);
-    }
-    return eps;
-  }
-
-  /// Stops worker `i` for good and destroys the server so reconnects are
-  /// refused — a killed process, not a paused one.  Idempotent.
-  void kill(std::size_t i) {
-    Worker& w = *workers_[i];
-    if (w.stopped) return;
-    w.stopped = true;
-    w.server->stop();
-    w.runner.join();
-    w.server.reset();
-  }
-
- private:
-  struct Worker {
-    std::unique_ptr<ReactorServer> server;
-    std::uint16_t port = 0;
-    std::thread runner;
-    bool stopped = false;
-  };
-  std::vector<std::unique_ptr<Worker>> workers_;
-};
-
 TEST(ClusterOverReactor, EvaluateStaysBitwiseIdenticalAndFailsOver) {
-  ReactorFleet fleet(2);
+  testutil::Fleet fleet(2);
   cluster::CoordinatorConfig config;
   config.runs = 10;
   config.rpc.connect_timeout_s = 2.0;

@@ -1,5 +1,5 @@
 // The concurrent tomography service: protocol codec, workload cache,
-// request router, and the TCP front end.
+// request router, and the TCP front end (ReactorServer).
 //
 // The acceptance test (ConcurrentMixedRequestsMatchModules) launches the
 // service in-process, fires concurrent requests from several client
@@ -28,7 +28,7 @@
 #include "exp/workload.h"
 #include "service/client.h"
 #include "service/protocol.h"
-#include "service/server.h"
+#include "service/reactor_server.h"
 #include "service/service.h"
 #include "online/link_estimator.h"
 #include "online/replanner.h"
@@ -523,12 +523,15 @@ TEST(Service, FeedRejectsBadTelemetry) {
 // --------------------------------------------------------------------------
 // TCP front end
 // --------------------------------------------------------------------------
+//
+// The TcpServer suite drives the one TCP front end, ReactorServer, over
+// real loopback sockets.
 
 TEST(TcpServer, ServesProtocolOverLoopbackAndStopsOnShutdown) {
-  TcpServer server(ServerConfig{.port = 0,  // Kernel-assigned ephemeral port.
-                                .threads = 2,
-                                .cache_capacity = 2,
-                                .request_timeout_s = 120.0});
+  ReactorServer server(ReactorServerConfig{.port = 0,
+                                           .threads = 2,
+                                           .cache_capacity = 2,
+                                           .request_timeout_s = 120.0});
   ASSERT_GT(server.port(), 0);
   std::thread runner([&server] { server.run(); });
 
@@ -573,9 +576,41 @@ TEST(TcpServer, ServesProtocolOverLoopbackAndStopsOnShutdown) {
 }
 
 TEST(TcpServer, StopUnblocksRun) {
-  TcpServer server(ServerConfig{.port = 0, .threads = 1});
+  ReactorServer server(ReactorServerConfig{.port = 0, .threads = 1});
   std::thread runner([&server] { server.run(); });
   server.stop();  // What the SIGINT handler does.
+  runner.join();
+}
+
+// Counts are unsigned: a negative one used to wrap to 2^64 - 1 and pin
+// a pool thread for good.  Every count key answers with a structured
+// error at once, and the server stays responsive afterwards.
+TEST(TcpServer, NegativeCountsGetAStructuredErrorAndPingStillAnswers) {
+  ReactorServer server(ReactorServerConfig{.port = 0, .threads = 2});
+  std::thread runner([&server] { server.run(); });
+  const std::string w = "nodes=20 links=30 paths=30";
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {"localize " + w + " scenarios=-1", "scenarios"},
+      {"er-eval " + w + " subset=0,1 scenarios=-1", "scenarios"},
+      {"identifiability " + w + " subset=0,1 scenarios=-1", "scenarios"},
+      {"infer " + w + " subset=0,1 scenarios=-1", "scenarios"},
+      {"localize-node " + w + " k=-1", "k"},
+      {"localize-node " + w + " ident-cap=-1", "ident-cap"},
+      {"select nodes=20 links=30 paths=-1", "paths"},
+      {"select nodes=-1 links=30 paths=30", "nodes"},
+      {"select nodes=20 links=-1 paths=30", "links"},
+      {"shard-eval " + w + " subset=0 runs=-1", "runs"},
+  };
+  {
+    TcpClient client("127.0.0.1", server.port(), 10.0);
+    for (const auto& [line, key] : cases) {
+      const Response r = parse_response(client.call_line(line));
+      EXPECT_FALSE(r.ok) << line;
+      EXPECT_EQ(r.error, key + " must be non-negative, got -1") << line;
+    }
+    EXPECT_TRUE(parse_response(client.call_line("ping")).ok);
+  }
+  server.stop();
   runner.join();
 }
 
@@ -650,7 +685,7 @@ class RawConn {
 };
 
 TEST(TcpServer, GarbageBytesGetStructuredErrorNotAHang) {
-  TcpServer server(ServerConfig{.port = 0, .threads = 1});
+  ReactorServer server(ReactorServerConfig{.port = 0, .threads = 1});
   std::thread runner([&server] { server.run(); });
 
   {
@@ -681,8 +716,8 @@ TEST(TcpServer, GarbageBytesGetStructuredErrorNotAHang) {
 }
 
 TEST(TcpServer, OversizedLineIsRejectedAndConnectionClosed) {
-  TcpServer server(
-      ServerConfig{.port = 0, .threads = 1, .max_line_bytes = 256});
+  ReactorServer server(
+      ReactorServerConfig{.port = 0, .threads = 1, .max_line_bytes = 256});
   std::thread runner([&server] { server.run(); });
 
   {
@@ -713,7 +748,7 @@ TEST(TcpServer, OversizedLineIsRejectedAndConnectionClosed) {
 }
 
 TEST(TcpServer, TruncatedFrameThenCloseLeavesServerServing) {
-  TcpServer server(ServerConfig{.port = 0, .threads = 1});
+  ReactorServer server(ReactorServerConfig{.port = 0, .threads = 1});
   std::thread runner([&server] { server.run(); });
 
   {
@@ -735,10 +770,10 @@ TEST(TcpServer, TruncatedFrameThenCloseLeavesServerServing) {
 }
 
 TEST(TcpServer, UndeliverableReplyCountsAsTransportError) {
-  TcpServer server(ServerConfig{.port = 0,
-                                .threads = 2,
-                                .cache_capacity = 2,
-                                .request_timeout_s = 120.0});
+  ReactorServer server(ReactorServerConfig{.port = 0,
+                                           .threads = 2,
+                                           .cache_capacity = 2,
+                                           .request_timeout_s = 120.0});
   std::thread runner([&server] { server.run(); });
 
   {
@@ -775,10 +810,10 @@ TEST(TcpServer, UndeliverableReplyCountsAsTransportError) {
 // interleave, the session posterior — and the replies derived from it —
 // must equal the single-threaded module answer.
 TEST(TcpServer, ConcurrentAdaptiveVerbsMatchModules) {
-  TcpServer server(ServerConfig{.port = 0,
-                                .threads = 4,
-                                .cache_capacity = 2,
-                                .request_timeout_s = 120.0});
+  ReactorServer server(ReactorServerConfig{.port = 0,
+                                           .threads = 4,
+                                           .cache_capacity = 2,
+                                           .request_timeout_s = 120.0});
   std::thread runner([&server] { server.run(); });
   const std::string wparams = "nodes=30 links=60 paths=30 seed=3 intensity=5";
   constexpr int kClients = 4;
@@ -843,10 +878,10 @@ TEST(TcpServer, ConcurrentAdaptiveVerbsMatchModules) {
 // crashing or hanging, and the client sees either a completed reply or a
 // clean connection error — never a stuck call.
 TEST(TcpServer, StopRacesInFlightRequests) {
-  TcpServer server(ServerConfig{.port = 0,
-                                .threads = 2,
-                                .cache_capacity = 2,
-                                .request_timeout_s = 120.0});
+  ReactorServer server(ReactorServerConfig{.port = 0,
+                                           .threads = 2,
+                                           .cache_capacity = 2,
+                                           .request_timeout_s = 120.0});
   std::thread runner([&server] { server.run(); });
   constexpr int kClients = 3;
   std::atomic<int> finished{0};

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <csignal>
 #include <iostream>
-#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -14,10 +13,7 @@
 #include "cluster/coordinator.h"
 #include "core/expected_rank.h"
 #include "core/kernel_er.h"
-#include "core/matrome.h"
 #include "core/rome.h"
-#include "core/select_path.h"
-#include "core/selectors/selector.h"
 #include "exp/metrics.h"
 #include "exp/workload.h"
 #include "failures/srlg.h"
@@ -31,7 +27,7 @@
 #include "online/pipeline.h"
 #include "service/client.h"
 #include "service/reactor_server.h"
-#include "service/server.h"
+#include "service/service.h"
 #include "testkit/checks.h"
 #include "testkit/fuzzer.h"
 #include "testkit/instance.h"
@@ -41,10 +37,12 @@
 namespace rnt::cli {
 namespace {
 
+using service::total_cost;
+
 /// Builds the workload shared by select / evaluate / learn / localize.
 exp::Workload build_workload(Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto paths = static_cast<std::size_t>(flags.get_int("paths", 400));
+  const auto paths = flags.get_count("paths", 400);
   const double intensity = flags.get_double("intensity", 5.0);
   const std::string input = flags.get_string("input", "");
   const std::string as_name = flags.get_string("as", "");
@@ -70,109 +68,9 @@ exp::Workload build_workload(Flags& flags) {
     spec.failure_intensity = intensity;
     return exp::make_workload(spec);
   }
-  const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 87));
-  const auto links = static_cast<std::size_t>(flags.get_int("links", 161));
+  const auto nodes = flags.get_count("nodes", 87);
+  const auto links = flags.get_count("links", 161);
   return exp::make_custom_workload(nodes, links, paths, seed, intensity);
-}
-
-/// The ER engine behind a Selector-driven algorithm, or nullptr for the
-/// algorithms that bypass the Selector registry (select-path, mat-rome).
-/// `engine_kind` overrides the scenario backend independently of the
-/// optimizer: monte-rome and kernel-rome are the same 50-scenario
-/// sampler on the scenario ("mc") or bit-packed ("kernel") backend, so
-/// either spelling composes with any --optimizer; prob-rome is the
-/// analytical bound and accepts no override.
-std::unique_ptr<core::ErEngine> make_engine(const exp::Workload& w,
-                                            const std::string& algorithm,
-                                            const std::string& engine_kind,
-                                            std::uint64_t seed,
-                                            const std::string& kernel_mode) {
-  // --kernel selects the rank-kernel implementation inside the bit-packed
-  // engine (auto | sliced | scalar); selections are bitwise identical
-  // either way, so it is purely a performance knob.
-  const core::KernelMode mode = core::parse_kernel_mode(kernel_mode);
-  const bool mode_forced = mode != core::KernelMode::kAuto;
-  if (algorithm == "prob-rome") {
-    if (!engine_kind.empty() && engine_kind != "prob") {
-      throw std::invalid_argument(
-          "--engine: prob-rome always uses the analytical ProbBound engine");
-    }
-    if (mode_forced) {
-      throw std::invalid_argument(
-          "--kernel only applies to the kernel engine");
-    }
-    return std::make_unique<core::ProbBoundEr>(*w.system, *w.failures);
-  }
-  if (algorithm == "monte-rome" || algorithm == "kernel-rome") {
-    const std::string kind =
-        !engine_kind.empty() ? engine_kind
-                             : (algorithm == "monte-rome" ? "mc" : "kernel");
-    // Same sampler and seed for both backends, so the selection is
-    // identical — the bit-packed rank kernel just gets there faster.
-    Rng rng(seed * 101);
-    if (kind == "mc") {
-      if (mode_forced) {
-        throw std::invalid_argument(
-            "--kernel only applies to the kernel engine");
-      }
-      return std::make_unique<core::MonteCarloEr>(*w.system, *w.failures, 50,
-                                                  rng);
-    }
-    if (kind == "kernel") {
-      auto engine = std::make_unique<core::KernelErEngine>(
-          core::KernelErEngine::monte_carlo(*w.system, *w.failures, 50, rng));
-      engine->set_kernel_mode(mode);
-      return engine;
-    }
-    throw std::invalid_argument("unknown --engine (want mc or kernel): " +
-                                kind);
-  }
-  return nullptr;
-}
-
-core::Selection run_algorithm(const exp::Workload& w,
-                              const std::string& algorithm, double budget,
-                              std::uint64_t seed,
-                              const std::string& optimizer = "rome",
-                              const std::string& engine_kind = "",
-                              const std::string& kernel_mode = "auto") {
-  const std::unique_ptr<core::ErEngine> engine =
-      make_engine(w, algorithm, engine_kind, seed, kernel_mode);
-  if (engine == nullptr) {
-    if (optimizer != "rome" || !engine_kind.empty() ||
-        core::parse_kernel_mode(kernel_mode) != core::KernelMode::kAuto) {
-      throw std::invalid_argument(
-          "--optimizer/--engine/--kernel do not apply to " + algorithm +
-          ": it does not run through the Selector "
-          "registry");
-    }
-    if (algorithm == "select-path") {
-      Rng rng(seed * 103);
-      return core::select_path_budgeted(*w.system, w.costs, budget, rng);
-    }
-    if (algorithm == "mat-rome") {
-      return core::matrome(*w.system, *w.failures);
-    }
-    throw std::invalid_argument(
-        "unknown --algorithm (want prob-rome, monte-rome, kernel-rome, "
-        "select-path or mat-rome): " +
-        algorithm);
-  }
-  core::SelectorOptions options;
-  options.seed = seed;
-  std::unique_ptr<core::ProbBoundEr> bound;
-  if (optimizer == "branch-and-bound") {
-    bound = std::make_unique<core::ProbBoundEr>(*w.system, *w.failures);
-    options.bound_engine = bound.get();
-  }
-  return core::make_selector(optimizer, options)
-      ->select(*w.system, w.costs, budget, *engine);
-}
-
-double total_cost(const exp::Workload& w) {
-  std::vector<std::size_t> all(w.system->path_count());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  return w.costs.subset_cost(*w.system, all);
 }
 
 /// Parses a CSV of positive failure intensities ("2,10,5").
@@ -217,8 +115,7 @@ void print_usage(std::ostream& out) {
       "select-path | mat-rome\n"
       "  --optimizer O      rome | eager | lazy-greedy | stochastic-greedy | "
       "local-search | branch-and-bound\n"
-      "  --engine E         scenario backend override: mc | kernel\n"
-      "  --kernel K         kernel engine rank kernel: auto | sliced | "
+      "  --kernel K         kernel-rome rank kernel: auto | sliced | "
       "scalar\n"
       "                     (identical selections; sliced packs 64 "
       "scenarios per word)\n"
@@ -266,12 +163,12 @@ void print_usage(std::ostream& out) {
       "  --threads N        worker pool size (default: hardware)\n"
       "  --cache N          resident workloads, LRU-bounded (default 8)\n"
       "  --timeout S        per-request reply deadline in seconds\n"
-      "  --reactor          event-loop front end (epoll) instead of\n"
-      "                     thread-per-connection; replies are identical\n"
-      "  --max-queue N      reactor admission bound: in-flight requests\n"
-      "                     past it get 'error overloaded: ...' (0 = off)\n"
-      "  --idle-timeout S   reactor: evict connections idle for S seconds\n"
-      "  --max-conns N      reactor connection cap (default: below\n"
+      "  --reactor          accepted and ignored (the event-loop front end\n"
+      "                     is the only one)\n"
+      "  --max-queue N      admission bound: in-flight requests past it\n"
+      "                     get 'error overloaded: ...' (0 = off)\n"
+      "  --idle-timeout S   evict connections idle for S seconds\n"
+      "  --max-conns N      connection cap (default: below\n"
       "                     RLIMIT_NOFILE)\n"
       "\n"
       "client flags:\n"
@@ -321,8 +218,8 @@ int cmd_topology(Flags& flags, std::ostream& out) {
     Rng rng(seed);
     g = graph::build_isp_topology(graph::parse_isp_topology(as_name), rng);
   } else {
-    const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 87));
-    const auto links = static_cast<std::size_t>(flags.get_int("links", 161));
+    const auto nodes = flags.get_count("nodes", 87);
+    const auto links = flags.get_count("links", 161);
     Rng rng(seed);
     g = graph::build_isp_like(nodes, links, rng);
   }
@@ -351,14 +248,14 @@ int cmd_topology(Flags& flags, std::ostream& out) {
 }
 
 int cmd_select(Flags& flags, std::ostream& out) {
-  const exp::Workload w = build_workload(flags);
+  const service::CachedWorkload cw(build_workload(flags));
+  const exp::Workload& w = cw.workload;
   const std::string algorithm = flags.get_string("algorithm", "prob-rome");
   const std::string optimizer = flags.get_string("optimizer", "rome");
-  const std::string engine_kind = flags.get_string("engine", "");
   const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
-  const core::Selection sel =
-      run_algorithm(w, algorithm, budget, w.seed, optimizer, engine_kind,
-                    flags.get_string("kernel", "auto"));
+  const core::Selection sel = service::run_algorithm(
+      cw, algorithm, optimizer,
+      core::parse_kernel_mode(flags.get_string("kernel", "auto")), budget);
 
   // The default optimizer keeps the historical label so default output
   // stays byte-identical; non-default optimizers are named explicitly.
@@ -390,18 +287,16 @@ int cmd_select(Flags& flags, std::ostream& out) {
 }
 
 int cmd_evaluate(Flags& flags, std::ostream& out) {
-  const exp::Workload w = build_workload(flags);
-  const std::string algorithm = flags.get_string("algorithm", "prob-rome");
+  const service::CachedWorkload cw(build_workload(flags));
+  const exp::Workload& w = cw.workload;
   const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
-  const auto scenarios =
-      static_cast<std::size_t>(flags.get_int("scenarios", 200));
+  const auto scenarios = flags.get_count("scenarios", 200);
   const bool identifiability = flags.get_bool("identifiability", false);
 
-  const core::Selection sel =
-      run_algorithm(w, algorithm, budget, w.seed,
-                    flags.get_string("optimizer", "rome"),
-                    flags.get_string("engine", ""),
-                    flags.get_string("kernel", "auto"));
+  const core::Selection sel = service::run_algorithm(
+      cw, flags.get_string("algorithm", "prob-rome"),
+      flags.get_string("optimizer", "rome"),
+      core::parse_kernel_mode(flags.get_string("kernel", "auto")), budget);
   Rng rng = w.eval_rng();
   exp::EvalOptions opts;
   opts.scenarios = scenarios;
@@ -431,7 +326,7 @@ int cmd_learn(Flags& flags, std::ostream& out) {
   const exp::Workload w = build_workload(flags);
   const std::string which = flags.get_string("learner", "lsr");
   const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
-  const auto epochs = static_cast<std::size_t>(flags.get_int("epochs", 500));
+  const auto epochs = flags.get_count("epochs", 500);
 
   std::unique_ptr<learning::PathLearner> learner;
   if (which == "lsr") {
@@ -479,16 +374,14 @@ int cmd_learn(Flags& flags, std::ostream& out) {
 }
 
 int cmd_localize(Flags& flags, std::ostream& out) {
-  const exp::Workload w = build_workload(flags);
-  const std::string algorithm = flags.get_string("algorithm", "prob-rome");
+  const service::CachedWorkload cw(build_workload(flags));
+  const exp::Workload& w = cw.workload;
   const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
-  const auto trials =
-      static_cast<std::size_t>(flags.get_int("scenarios", 300));
-  const core::Selection sel =
-      run_algorithm(w, algorithm, budget, w.seed,
-                    flags.get_string("optimizer", "rome"),
-                    flags.get_string("engine", ""),
-                    flags.get_string("kernel", "auto"));
+  const auto trials = flags.get_count("scenarios", 300);
+  const core::Selection sel = service::run_algorithm(
+      cw, flags.get_string("algorithm", "prob-rome"),
+      flags.get_string("optimizer", "rome"),
+      core::parse_kernel_mode(flags.get_string("kernel", "auto")), budget);
   Rng rng = w.eval_rng();
   const auto score =
       tomo::score_localization(*w.system, sel.paths, *w.failures, trials, rng);
@@ -504,28 +397,25 @@ int cmd_localize(Flags& flags, std::ostream& out) {
 }
 
 int cmd_localize_node(Flags& flags, std::ostream& out) {
-  const exp::Workload w = build_workload(flags);
-  const std::string algorithm = flags.get_string("algorithm", "prob-rome");
+  const service::CachedWorkload cw(build_workload(flags));
+  const exp::Workload& w = cw.workload;
   const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
   const std::string family = flags.get_string("family", "node");
   if (family != "node" && family != "link") {
     throw std::invalid_argument("--family must be node or link");
   }
-  const auto k = static_cast<std::size_t>(flags.get_int("k", 2));
+  const auto k = flags.get_count("k", 2);
   if (k == 0) throw std::invalid_argument("--k must be positive");
-  const auto trials =
-      static_cast<std::size_t>(flags.get_int("scenarios", 300));
-  const auto ident_cap =
-      static_cast<std::size_t>(flags.get_int("ident-cap", 0));
+  const auto trials = flags.get_count("scenarios", 300);
+  const auto ident_cap = flags.get_count("ident-cap", 0);
   const boolnt::HypothesisSpace space =
       family == "link"
           ? boolnt::HypothesisSpace::links_of(w.system->link_count())
           : boolnt::HypothesisSpace::nodes_of(w.graph);
-  const core::Selection sel =
-      run_algorithm(w, algorithm, budget, w.seed,
-                    flags.get_string("optimizer", "rome"),
-                    flags.get_string("engine", ""),
-                    flags.get_string("kernel", "auto"));
+  const core::Selection sel = service::run_algorithm(
+      cw, flags.get_string("algorithm", "prob-rome"),
+      flags.get_string("optimizer", "rome"),
+      core::parse_kernel_mode(flags.get_string("kernel", "auto")), budget);
   Rng rng = w.eval_rng();
   const auto score = boolnt::score_multi_localization(*w.system, sel.paths,
                                                       space, k, trials, rng);
@@ -559,7 +449,8 @@ int cmd_localize_node(Flags& flags, std::ostream& out) {
 }
 
 int cmd_infer(Flags& flags, std::ostream& out) {
-  const exp::Workload w = build_workload(flags);
+  const service::CachedWorkload cw(build_workload(flags));
+  const exp::Workload& w = cw.workload;
   const std::string algorithm = flags.get_string("algorithm", "prob-rome");
   const double budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
   const std::string family = flags.get_string("family", "independent");
@@ -571,14 +462,12 @@ int cmd_infer(Flags& flags, std::ostream& out) {
   if (config.noise_std < 0.0) {
     throw std::invalid_argument("--noise must be non-negative");
   }
-  config.scenarios = static_cast<std::size_t>(flags.get_int("scenarios", 200));
-  config.threads = static_cast<std::size_t>(flags.get_int("threads", 1));
+  config.scenarios = flags.get_count("scenarios", 200);
+  config.threads = flags.get_count("threads", 1);
 
-  const core::Selection sel =
-      run_algorithm(w, algorithm, budget, w.seed,
-                    flags.get_string("optimizer", "rome"),
-                    flags.get_string("engine", ""),
-                    flags.get_string("kernel", "auto"));
+  const core::Selection sel = service::run_algorithm(
+      cw, algorithm, flags.get_string("optimizer", "rome"),
+      core::parse_kernel_mode(flags.get_string("kernel", "auto")), budget);
   const infer::GroundTruth truth = infer::campaign_truth(
       config.model, w.system->link_count(), w.seed, config.truth);
 
@@ -634,8 +523,7 @@ int cmd_pipeline(Flags& flags, std::ostream& out) {
   // not just how fragile they are.
   const std::vector<double> intensities =
       parse_intensities(flags.get_string("segments", "2,10,5"));
-  const auto segment_epochs =
-      static_cast<std::size_t>(flags.get_int("segment-epochs", 40));
+  const auto segment_epochs = flags.get_count("segment-epochs", 40);
   if (segment_epochs == 0) {
     throw std::invalid_argument("--segment-epochs must be positive");
   }
@@ -671,7 +559,7 @@ int cmd_pipeline(Flags& flags, std::ostream& out) {
   config.budget = flags.get_double("budget-frac", 0.3) * total_cost(w);
   config.policy =
       online::parse_replan_policy(flags.get_string("policy", "adaptive"));
-  config.period = static_cast<std::size_t>(flags.get_int("period", 20));
+  config.period = flags.get_count("period", 20);
   // Deterministic given the seed, but non-zero so the estimation-error
   // series actually exercises the least-squares solver.
   config.probe.jitter_std_ms = flags.get_double("jitter", 0.5);
@@ -724,34 +612,24 @@ int cmd_pipeline(Flags& flags, std::ostream& out) {
 namespace {
 
 /// SIGINT plumbing for `serve`: the handler may only touch the atomic
-/// pointers; both stop() implementations are async-signal-safe (an atomic
-/// store, plus a self-pipe write for the reactor).
-std::atomic<service::TcpServer*> g_server{nullptr};
-std::atomic<service::ReactorServer*> g_reactor_server{nullptr};
+/// pointer; stop() is async-signal-safe (an atomic store plus a self-pipe
+/// write).
+std::atomic<service::ReactorServer*> g_server{nullptr};
 
 void handle_sigint(int) {
-  if (service::TcpServer* server = g_server.load()) server->stop();
-  if (service::ReactorServer* server = g_reactor_server.load()) {
-    server->stop();
-  }
+  if (service::ReactorServer* server = g_server.load()) server->stop();
 }
 
-}  // namespace
-
-namespace {
-
-void print_server_banner(std::ostream& out, bool worker, bool reactor,
-                         std::uint16_t port, std::size_t pool_size,
-                         std::size_t cache_capacity,
+void print_server_banner(std::ostream& out, bool worker, std::uint16_t port,
+                         std::size_t pool_size, std::size_t cache_capacity,
                          double request_timeout_s) {
   out << (worker ? "cluster worker" : "tomography service")
-      << " listening on 127.0.0.1:" << port << " ("
-      << (reactor ? "reactor front end, " : "") << pool_size
-      << " worker threads, cache " << cache_capacity
+      << " listening on 127.0.0.1:" << port << " (reactor front end, "
+      << pool_size << " worker threads, cache " << cache_capacity
       << " workloads, request timeout " << request_timeout_s << "s)\n";
   if (worker) {
-    out << "awaiting a coordinator (worker-hello / shard-eval / "
-           "shard-sweep); 'shutdown' or SIGINT to stop\n";
+    out << "awaiting a coordinator (worker-hello / shard-eval); "
+           "'shutdown' or SIGINT to stop\n";
   } else {
     out << "protocol: one request per line, e.g. 'select as=AS1755 "
            "budget-frac=0.1'; 'shutdown' or SIGINT to stop\n";
@@ -761,64 +639,31 @@ void print_server_banner(std::ostream& out, bool worker, bool reactor,
 
 /// Shared body of `serve` and `cluster-serve` — the identical TCP service
 /// either way (a cluster worker is just a service answering shard verbs);
-/// only the banner differs.  `--reactor` swaps the thread-per-connection
-/// front end for the event-loop one; replies are byte-identical.
+/// only the banner differs.
 int run_server_command(Flags& flags, std::ostream& out, bool worker) {
-  const auto port = static_cast<std::uint16_t>(flags.get_int("port", 7070));
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-  const auto cache_capacity =
-      static_cast<std::size_t>(flags.get_int("cache", 8));
-  const double request_timeout_s = flags.get_double("timeout", 60.0);
-  const bool reactor = flags.get_bool("reactor", false);
-  const auto max_queue =
-      static_cast<std::size_t>(flags.get_int("max-queue", 0));
-  const double idle_timeout_s = flags.get_double("idle-timeout", 0.0);
-  const auto max_conns =
-      static_cast<std::size_t>(flags.get_int("max-conns", 0));
+  service::ReactorServerConfig config;
+  config.port = static_cast<std::uint16_t>(flags.get_int("port", 7070));
+  config.threads = flags.get_count("threads", 0);
+  config.cache_capacity = flags.get_count("cache", 8);
+  config.request_timeout_s = flags.get_double("timeout", 60.0);
+  // The reactor is the only front end; the flag parses for old scripts.
+  (void)flags.get_bool("reactor", false);
+  config.max_queue = flags.get_count("max-queue", 0);
+  config.idle_timeout_ms = static_cast<std::uint64_t>(
+      flags.get_double("idle-timeout", 0.0) * 1000.0);
+  config.max_connections = flags.get_count("max-conns", 0);
   flags.finish();
 
+  service::ReactorServer server(config);
+  g_server.store(&server);
   struct sigaction action{};
   action.sa_handler = handle_sigint;
   struct sigaction previous{};
-
-  if (reactor) {
-    service::ReactorServerConfig config;
-    config.port = port;
-    config.threads = threads;
-    config.cache_capacity = cache_capacity;
-    config.request_timeout_s = request_timeout_s;
-    config.max_queue = max_queue;
-    config.idle_timeout_ms =
-        static_cast<std::uint64_t>(idle_timeout_s * 1000.0);
-    config.max_connections = max_conns;
-
-    service::ReactorServer server(config);
-    g_reactor_server.store(&server);
-    ::sigaction(SIGINT, &action, &previous);
-    print_server_banner(out, worker, /*reactor=*/true, server.port(),
-                        server.service().pool_size(), cache_capacity,
-                        request_timeout_s);
-    server.run();
-    ::sigaction(SIGINT, &previous, nullptr);
-    g_reactor_server.store(nullptr);
-    out << "\n" << server.service().summary();
-    return 0;
-  }
-
-  service::ServerConfig config;
-  config.port = port;
-  config.threads = threads;
-  config.cache_capacity = cache_capacity;
-  config.request_timeout_s = request_timeout_s;
-
-  service::TcpServer server(config);
-  g_server.store(&server);
   ::sigaction(SIGINT, &action, &previous);
-  print_server_banner(out, worker, /*reactor=*/false, server.port(),
-                      server.service().pool_size(), cache_capacity,
-                      request_timeout_s);
+  print_server_banner(out, worker, server.port(),
+                      server.service().pool_size(), config.cache_capacity,
+                      config.request_timeout_s);
   server.run();
-
   ::sigaction(SIGINT, &previous, nullptr);
   g_server.store(nullptr);
   out << "\n" << server.service().summary();
@@ -905,10 +750,9 @@ std::vector<double> parse_fracs(const std::string& csv) {
 int cmd_cluster(Flags& flags, std::ostream& out) {
   service::WorkloadKey key;
   key.topology = flags.get_string("as", "");
-  key.nodes = static_cast<std::size_t>(flags.get_int("nodes", 87));
-  key.links = static_cast<std::size_t>(flags.get_int("links", 161));
-  key.candidate_paths =
-      static_cast<std::size_t>(flags.get_int("paths", 400));
+  key.nodes = flags.get_count("nodes", 87);
+  key.links = flags.get_count("links", 161);
+  key.candidate_paths = flags.get_count("paths", 400);
   key.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   key.intensity = flags.get_double("intensity", 5.0);
   key.unit_costs = flags.get_bool("unit-costs", false);
@@ -917,10 +761,10 @@ int cmd_cluster(Flags& flags, std::ostream& out) {
       flags.get_string("workers", ""), flags.get_string("weights", ""));
 
   cluster::CoordinatorConfig config;
-  config.runs = static_cast<std::size_t>(flags.get_int("runs", 50));
+  config.runs = flags.get_count("runs", 50);
   config.rpc.connect_timeout_s = flags.get_double("connect-timeout", 5.0);
   config.rpc.reply_timeout_s = flags.get_double("timeout", 60.0);
-  config.rpc.retries = static_cast<std::size_t>(flags.get_int("retries", 2));
+  config.rpc.retries = flags.get_count("retries", 2);
   config.rpc.backoff_s = flags.get_double("backoff", 0.05);
   config.heartbeat_interval_s =
       flags.get_double("heartbeat-interval", 0.0);
@@ -963,22 +807,18 @@ int cmd_cluster(Flags& flags, std::ostream& out) {
                                                        "paths", "cost",
                                                        "cluster ER"});
   for (const double frac : fracs) {
-    const double budget = frac * total_cost(w);
-    const core::Selection sel = coord.select(budget);
+    // The coordinator already holds the bit-packed engine, so RoMe runs
+    // on it locally; only the ER evaluation fans out to the workers.
+    const core::Selection sel =
+        core::rome(*w.system, w.costs, frac * total_cost(w), coord.engine());
     const double er = coord.evaluate(sel.paths);
     std::vector<std::string> row{fmt(frac, 2), std::to_string(sel.size()),
                                  fmt(sel.cost, 0),
                                  service::format_double(er)};
     if (verify) {
-      // The merge contract: the cluster answer must be *bitwise* the
-      // single-node kernel answer — same paths, same objective bits,
-      // same ER bits.
-      const core::Selection local =
-          core::rome(*w.system, w.costs, budget, coord.engine());
-      const double local_er = coord.engine().evaluate(sel.paths);
-      const bool match = local.paths == sel.paths &&
-                         local.objective == sel.objective &&
-                         local_er == er;
+      // The merge contract: the cluster ER must be *bitwise* the
+      // single-node kernel answer.
+      const bool match = coord.engine().evaluate(sel.paths) == er;
       all_match = all_match && match;
       row.push_back(match ? "bitwise" : "MISMATCH");
     }
@@ -996,8 +836,7 @@ int cmd_cluster(Flags& flags, std::ostream& out) {
       out << "MISMATCH: cluster result differs from single-node kernel\n";
       return 1;
     }
-    out << "verified: cluster selections and ER bitwise identical to "
-           "single-node\n";
+    out << "verified: cluster ER bitwise identical to single-node\n";
   }
   return 0;
 }
@@ -1055,11 +894,10 @@ int cmd_fuzz(Flags& flags, std::ostream& out) {
 
   testkit::FuzzConfig config;
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  config.cases = static_cast<std::size_t>(flags.get_int("cases", 1000));
+  config.cases = flags.get_count("cases", 1000);
   config.minutes = flags.get_double("minutes", 0.0);
   config.out_dir = flags.get_string("out", "");
-  config.max_failures =
-      static_cast<std::size_t>(flags.get_int("max-failures", 1));
+  config.max_failures = flags.get_count("max-failures", 1);
   config.shrink_failures = !flags.get_bool("no-shrink", false);
   config.fault = fault;
   const std::string checks_csv = flags.get_string("checks", "");

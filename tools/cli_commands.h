@@ -45,9 +45,9 @@ int cmd_client(Flags& flags, std::istream& in, std::ostream& out);
 /// TCP service as `serve`, announced as a shard worker.
 int cmd_cluster_serve(Flags& flags, std::ostream& out);
 
-/// `rnt_cli cluster` — coordinate fig5-style ER/RoMe sweeps across worker
-/// processes, with failover, and (by default) verify the merged answers
-/// bitwise against a local single-node run.
+/// `rnt_cli cluster` — fig5-style budget sweep: RoMe on the coordinator's
+/// own engine, ER evaluated across worker processes with failover, and
+/// (by default) the merged ER verified bitwise against a local run.
 int cmd_cluster(Flags& flags, std::ostream& out);
 
 /// `rnt_cli fuzz` — run the deterministic correctness harness: seeded

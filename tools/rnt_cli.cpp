@@ -9,11 +9,17 @@
 //   localize  Score single-link failure localization of a selection.
 //   pipeline  Replay a failure trace through the adaptive replanning
 //             pipeline (online estimation + drift-gated re-selection).
-//   serve     Run the concurrent tomography service on a TCP port.
+//   localize-node  Score multi-failure node/link localization.
+//   infer     Run the end-to-end inference loop and report estimation
+//             error.
+//   serve     Run the concurrent tomography service on a TCP port (the
+//             reactor front end; --reactor is accepted and has no effect).
 //   client    Send protocol lines to a running service.
 //   cluster-serve  Run one cluster worker (the same service, shard verbs).
-//   cluster   Coordinate sharded ER/RoMe sweeps across workers with
-//             failover; verifies the merge bitwise against single-node.
+//   cluster   Select with RoMe on the coordinator's engine and evaluate ER
+//             across workers (shard-eval) with failover; verifies the
+//             merged ER bitwise against single-node.
+//   fuzz      Run the seeded invariant checks against brute-force oracles.
 //
 // Examples:
 //   rnt_cli topology --as AS3257 --output as3257.edges
