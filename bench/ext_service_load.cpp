@@ -16,9 +16,9 @@
 //                 every connection; p50/p95/p99 and throughput reported.
 //   3. overload — a pipelined burst far past the server's admission bound
 //                 (`--burst` requests on each of `--burst-conns`
-//                 connections in one write); the server must answer every
-//                 single one — `ok` or structured `error overloaded:` —
-//                 with nothing dropped or hung.
+//                 connections, one send per request); the server must
+//                 answer every single one — `ok` or structured
+//                 `error overloaded:` — with nothing dropped or hung.
 //
 // Gated ratios (machine-independent contract checks; absolute throughput
 // and quantiles are informational):
@@ -26,6 +26,11 @@
 //   steady_answered_over_offered     every steady request answered
 //   overload_answered_over_offered   every overload request answered
 //   overload_shed_fraction           the admission queue actually shed
+//   delack_over_overload_burst_p50   40 ms (Linux's minimum delayed-ACK
+//                                    interval) / overload-burst p50: a
+//                                    server that leaves Nagle on holds
+//                                    pipelined replies behind the peer's
+//                                    delayed ACK and reads about 1
 #include <poll.h>
 #include <sys/socket.h>
 #include <netinet/in.h>
@@ -49,6 +54,10 @@
 
 namespace rnt {
 namespace {
+
+/// Linux's minimum delayed-ACK interval (TCP_DELACK_MIN), the stall a
+/// reply held back by Nagle waits out.
+constexpr double kMinDelayedAckUs = 40000.0;
 
 double now_s() {
   return std::chrono::duration_cast<std::chrono::duration<double>>(
@@ -75,6 +84,9 @@ struct PhaseCounters {
   std::size_t shed = 0;    ///< `error overloaded: ...` replies.
   std::size_t other = 0;   ///< Any other error reply (should stay 0).
   std::vector<double> latency_us;
+  /// How late each request left the generator after its scheduled
+  /// instant (open-loop phase only; informational).
+  std::vector<double> send_lag_us;
 
   std::size_t answered() const { return ok + shed + other; }
 };
@@ -150,6 +162,7 @@ class LoadGenerator {
         // Latency clock starts at the scheduled instant: if this loop
         // fell behind, the wait counts against the server's tail, not in
         // its favour (no coordinated omission).
+        counters.send_lag_us.push_back((now - next_arrival) * 1e6);
         enqueue_request(conns_[next_live(rr)], next_arrival, counters);
         ++dispatched;
         next_arrival += poisson ? -std::log(1.0 - rng.uniform()) / rate
@@ -161,8 +174,10 @@ class LoadGenerator {
   }
 
   /// Overload phase: `burst` pipelined requests on each of the first
-  /// `burst_conns` connections, written in one batch per connection, then
-  /// a drain.  Every request must come back answered.
+  /// `burst_conns` connections, one send per request as a pipelining
+  /// client makes them, then a drain.  Every request must come back
+  /// answered.  (Batching a connection's burst into one send would hide a
+  /// server that leaves Nagle on; see delack_over_overload_burst_p50.)
   void run_burst(PhaseCounters& counters, std::size_t burst,
                  std::size_t burst_conns, double drain_s) {
     std::size_t used = 0;
@@ -213,10 +228,14 @@ class LoadGenerator {
     flush(conn);
   }
 
+  /// Whole milliseconds the poller may block without sleeping past the
+  /// next scheduled send; 0 (poll without blocking) once that send is due
+  /// in under a millisecond.  Rounding up here would wake the generator
+  /// late and charge the oversleep to the server's latency.
   static int timeout_until(double next_arrival) {
     const double ms = (next_arrival - now_s()) * 1000.0;
     if (ms <= 0.0) return 0;
-    return static_cast<int>(std::min(ms, 10.0)) + 1;
+    return static_cast<int>(std::min(ms, 10.0));
   }
 
   void pump(PhaseCounters& counters, int timeout_ms) {
@@ -306,18 +325,24 @@ class LoadGenerator {
   std::size_t outstanding_ = 0;
 };
 
-bench::LatencySample to_sample(PhaseCounters& counters, double elapsed_s) {
-  std::sort(counters.latency_us.begin(), counters.latency_us.end());
+/// Quantiles of `values_us` (sorted in place) with the given throughput.
+bench::LatencySample quantiles(std::vector<double>& values_us,
+                               double ops_per_sec) {
+  std::sort(values_us.begin(), values_us.end());
   bench::LatencySample sample;
-  sample.iterations = counters.latency_us.size();
-  sample.ops_per_sec =
-      elapsed_s > 0.0
-          ? static_cast<double>(counters.answered()) / elapsed_s
-          : 0.0;
-  sample.p50_us = bench::sorted_quantile(counters.latency_us, 0.50);
-  sample.p95_us = bench::sorted_quantile(counters.latency_us, 0.95);
-  sample.p99_us = bench::sorted_quantile(counters.latency_us, 0.99);
+  sample.iterations = values_us.size();
+  sample.ops_per_sec = ops_per_sec;
+  sample.p50_us = bench::sorted_quantile(values_us, 0.50);
+  sample.p95_us = bench::sorted_quantile(values_us, 0.95);
+  sample.p99_us = bench::sorted_quantile(values_us, 0.99);
   return sample;
+}
+
+bench::LatencySample to_sample(PhaseCounters& counters, double elapsed_s) {
+  return quantiles(
+      counters.latency_us,
+      elapsed_s > 0.0 ? static_cast<double>(counters.answered()) / elapsed_s
+                      : 0.0);
 }
 
 int run(Flags& flags) {
@@ -396,6 +421,8 @@ int run(Flags& flags) {
   const bench::LatencySample steady_sample = to_sample(steady, steady_elapsed);
   const bench::LatencySample overload_sample =
       to_sample(overload, overload_elapsed);
+  const bench::LatencySample send_lag_sample =
+      quantiles(steady.send_lag_us, 0.0);
   bench::LatencySample connect_sample;
   connect_sample.iterations = established;
   connect_sample.ops_per_sec =
@@ -405,6 +432,7 @@ int run(Flags& flags) {
   report.add_metric("connect", connect_sample);
   report.add_metric("steady", steady_sample);
   report.add_metric("overload_burst", overload_sample);
+  report.add_metric("steady_send_lag", send_lag_sample);
 
   report.add_ratio("connect_success_over_attempted",
                    ratio(established, connections));
@@ -414,6 +442,10 @@ int run(Flags& flags) {
                    ratio(overload.answered(), overload.offered));
   report.add_ratio("overload_shed_fraction",
                    ratio(overload.shed, overload.offered));
+  report.add_ratio("delack_over_overload_burst_p50",
+                   overload_sample.p50_us > 0.0
+                       ? kMinDelayedAckUs / overload_sample.p50_us
+                       : 0.0);
 
   TablePrinter table({"phase", "offered", "answered", "ok", "shed",
                       "ops/sec", "p50 us", "p95 us", "p99 us"});
@@ -433,6 +465,10 @@ int run(Flags& flags) {
                  fmt(overload_sample.p50_us, 1),
                  fmt(overload_sample.p95_us, 1),
                  fmt(overload_sample.p99_us, 1)});
+  table.add_row({"send lag", std::to_string(send_lag_sample.iterations),
+                 "-", "-", "-", "-", fmt(send_lag_sample.p50_us, 1),
+                 fmt(send_lag_sample.p95_us, 1),
+                 fmt(send_lag_sample.p99_us, 1)});
   table.print(std::cout, csv);
 
   if (!csv) {

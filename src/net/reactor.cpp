@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -243,6 +244,11 @@ void Reactor::accept_ready() {
 
 void Reactor::accept_one(int fd) {
   set_nonblocking(fd);
+  // Subclasses hand send_to() whole frames, so Nagle has nothing to
+  // coalesce; left on, it holds each reply behind an unacknowledged one
+  // until the peer's delayed ACK (40 ms minimum on Linux) arrives.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   auto conn = std::make_unique<Connection>();
   conn->id = next_id_++;
   conn->fd = fd;

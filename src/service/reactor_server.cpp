@@ -1,5 +1,7 @@
 #include "service/reactor_server.h"
 
+#include <algorithm>
+#include <cctype>
 #include <utility>
 
 namespace rnt::service {
@@ -15,6 +17,18 @@ net::ReactorConfig reactor_config(const ReactorServerConfig& config) {
   rc.idle_timeout_ms = config.idle_timeout_ms;
   rc.max_connections = config.max_connections;
   return rc;
+}
+
+/// The first whitespace-delimited token of `line` (the verb, if any),
+/// split on the same characters as parse_request's tokenizer.
+std::string_view first_token(std::string_view line) {
+  const auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  const auto begin = std::find_if_not(line.begin(), line.end(), space);
+  const auto end = std::find_if(begin, line.end(), space);
+  return line.substr(static_cast<std::size_t>(begin - line.begin()),
+                     static_cast<std::size_t>(end - begin));
 }
 
 }  // namespace
@@ -38,13 +52,16 @@ void ReactorServer::on_frame(Connection& conn, std::string_view frame,
   ++state.unanswered;
 
   // Detect shutdown before dispatching so the loop stops even if the
-  // pool is busy.
+  // pool is busy.  Only a line whose verb is `shutdown` pays for a full
+  // parse here; every other line is parsed once, on the pool.
   bool is_shutdown = false;
   std::string line(frame);
-  try {
-    is_shutdown = parse_request(line).type == RequestType::kShutdown;
-  } catch (const std::exception&) {
-    // Fall through; handle_line turns it into an error reply.
+  if (first_token(frame) == "shutdown") {
+    try {
+      is_shutdown = parse_request(line).type == RequestType::kShutdown;
+    } catch (const std::exception&) {
+      // Fall through; handle_line turns it into an error reply.
+    }
   }
 
   if (!is_shutdown && config_.max_queue > 0 &&

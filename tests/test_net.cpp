@@ -14,6 +14,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -414,6 +415,30 @@ TEST(ReactorServer, ShutdownVerbAnswersThenStopsRun) {
   EXPECT_TRUE(server.stopping());
 }
 
+TEST(ReactorServer, MalformedShutdownIsAnErrorAndDoesNotStop) {
+  // The loop thread parses a line itself only when its verb is
+  // `shutdown`; a bad parameter must still come back as the in-process
+  // error reply and leave the server running.
+  const std::vector<std::string> lines{"shutdown bogus", "shutdownx",
+                                       "ping"};
+  std::vector<std::string> expected;
+  {
+    service::Service in_process(service::ServiceConfig{.threads = 1});
+    for (const std::string& line : lines) {
+      expected.push_back(
+          service::format_response(in_process.handle_line(line)));
+    }
+  }
+  ASSERT_FALSE(parse_response(expected[0]).ok);
+
+  ReactorFixture reactor(ReactorServerConfig{.threads = 1});
+  service::TcpClient client("127.0.0.1", reactor.port(), 30.0);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(client.call_line(lines[i]), expected[i]) << lines[i];
+  }
+  EXPECT_FALSE(reactor.server().stopping());
+}
+
 TEST(ReactorServer, StopUnblocksRun) {
   ReactorServer server(ReactorServerConfig{.threads = 1});
   std::thread runner([&server] { server.run(); });
@@ -714,6 +739,48 @@ TEST(Reactor, LengthPrefixedSubclassEchoesFramesBack) {
 
   reactor.stop();
   runner.join();
+}
+
+/// Answers every line with the TCP_NODELAY value the most recently
+/// accepted connection carried when on_accepted() ran (-1: getsockopt
+/// failed).
+class NoDelayProbeReactor : public net::Reactor {
+ public:
+  explicit NoDelayProbeReactor(net::ReactorConfig config)
+      : net::Reactor(config) {}
+
+ private:
+  void on_accepted(Connection& conn) override {
+    socklen_t len = sizeof(nodelay_);
+    if (::getsockopt(conn.fd, IPPROTO_TCP, TCP_NODELAY, &nodelay_, &len) !=
+        0) {
+      nodelay_ = -1;
+    }
+  }
+
+  void on_frame(Connection& conn, std::string_view frame,
+                bool pipelined) override {
+    (void)frame;
+    (void)pipelined;
+    send_to(conn, std::to_string(nodelay_) + "\n");
+  }
+
+  int nodelay_ = -1;  ///< Loop thread only.
+};
+
+TEST(Reactor, AcceptedSocketsCarryTcpNoDelayOnEveryBackend) {
+  for (const PollBackend backend : available_backends()) {
+    NoDelayProbeReactor reactor(net::ReactorConfig{.backend = backend});
+    SCOPED_TRACE(static_cast<int>(backend));
+    std::thread runner([&reactor] { reactor.run(); });
+    {
+      RawConn raw(reactor.port());
+      raw.send_bytes("probe\n");
+      EXPECT_EQ(raw.read_line(), "1");
+    }
+    reactor.stop();
+    runner.join();
+  }
 }
 
 // --------------------------------------------------------------------------
