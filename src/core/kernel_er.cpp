@@ -242,10 +242,9 @@ KernelErEngine KernelErEngine::exact(const tomo::PathSystem& system,
                         "ExactER");
 }
 
-std::vector<std::size_t> KernelErEngine::ranks_in_range(
-    const std::vector<std::size_t>& subset, std::size_t threads,
-    std::size_t begin, std::size_t end) const {
-  const std::size_t n = end - begin;
+std::vector<std::size_t> KernelErEngine::rank_table(
+    const std::vector<std::size_t>& subset, std::size_t threads) const {
+  const std::size_t n = scenario_count();
   std::vector<std::size_t> ranks(n, 0);
   if (n == 0) return ranks;
 
@@ -261,8 +260,7 @@ std::vector<std::size_t> KernelErEngine::ranks_in_range(
   // Surviving-row bitmask per scenario, deduplicated on the surviving
   // path-id set: scenarios that keep the same rows alive share one rank
   // computation, and the same key indexes the cross-call memo — the rank
-  // of a surviving set does not depend on which subset it came from, nor
-  // on the scenario range it was encountered in.
+  // of a surviving set does not depend on which subset it came from.
   struct Distinct {
     std::string key;                 ///< Global path-id key, for the memo.
     std::vector<std::uint64_t> keep; ///< Subset-position mask, for ranking.
@@ -272,7 +270,7 @@ std::vector<std::size_t> KernelErEngine::ranks_in_range(
   std::unordered_map<std::string, std::uint32_t> ids;
   std::vector<std::uint64_t> keep(mask_words);
   std::vector<std::uint64_t> key(key_words);
-  for (std::size_t s = begin; s < end; ++s) {
+  for (std::size_t s = 0; s < n; ++s) {
     std::fill(keep.begin(), keep.end(), 0);
     std::fill(key.begin(), key.end(), 0);
     const auto failed = failed_bits_.row(s);
@@ -285,7 +283,7 @@ std::vector<std::size_t> KernelErEngine::ranks_in_range(
     const auto [it, inserted] =
         ids.emplace(mask_key(key), static_cast<std::uint32_t>(distinct.size()));
     if (inserted) distinct.push_back({it->first, keep});
-    mask_id[s - begin] = it->second;
+    mask_id[s] = it->second;
   }
 
   // Consult the memo first, then rank only the misses — integer work on
@@ -387,10 +385,6 @@ std::vector<std::size_t> KernelErEngine::ranks_in_range(
 double KernelErEngine::reduce_ranks(
     const std::vector<std::size_t>& ranks) const {
   const std::size_t n = scenario_count();
-  if (ranks.size() != n) {
-    throw std::invalid_argument(
-        "KernelErEngine::reduce_ranks: need one rank per scenario");
-  }
   const std::vector<double>& w = weights();
   double er = 0.0;
   for (std::size_t begin = 0; begin < n; begin += kEvalChunk) {
@@ -406,27 +400,17 @@ double KernelErEngine::reduce_ranks(
 }
 
 double KernelErEngine::evaluate(const std::vector<std::size_t>& subset) const {
-  return reduce_ranks(ranks_in_range(subset, 1, 0, scenario_count()));
+  return reduce_ranks(rank_table(subset, 1));
 }
 
 double KernelErEngine::evaluate_parallel(const std::vector<std::size_t>& subset,
                                          std::size_t threads) const {
-  return reduce_ranks(
-      ranks_in_range(subset, resolve_threads(threads), 0, scenario_count()));
+  return reduce_ranks(rank_table(subset, resolve_threads(threads)));
 }
 
 std::vector<std::size_t> KernelErEngine::scenario_ranks(
     const std::vector<std::size_t>& subset) const {
-  return ranks_in_range(subset, 1, 0, scenario_count());
-}
-
-std::vector<std::size_t> KernelErEngine::slice_ranks(
-    const std::vector<std::size_t>& subset, std::size_t begin,
-    std::size_t end) const {
-  if (begin > end || end > scenario_count()) {
-    throw std::invalid_argument("KernelErEngine::slice_ranks: bad range");
-  }
-  return ranks_in_range(subset, 1, begin, end);
+  return rank_table(subset, 1);
 }
 
 const ScenarioClasses& KernelErEngine::scenario_classes() const {
@@ -827,7 +811,7 @@ class SlicedKernelAccumulator : public ErAccumulator {
   /// Ambiguous-lane verdict: is `path` independent of the group's
   /// committed set?  That is a rank question about the set
   /// committed ∪ {path} — the same subset-independent keyspace
-  /// ranks_in_range memoizes — so the engine's cross-call rank memo is
+  /// rank_table memoizes — so the engine's cross-call rank memo is
   /// consulted first and a selection that retraces known territory
   /// (greedy re-sweeps, repeated workloads) never touches the float
   /// tier.  Misses resolve through the group's prefix basis — the

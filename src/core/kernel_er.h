@@ -34,15 +34,6 @@
 // floating-point basis only on the rare GF(2)-ambiguous row (see
 // linalg/bitrank.h for why GF(2)-independence certifies rational
 // independence exactly while the basis stays "synced").
-//
-// Cluster entry points.  The engine also exposes the integer half of
-// evaluate() so a coordinator can shard it across processes while staying
-// bitwise identical to a single-node run: slice_ranks() returns the exact
-// integer surviving rank of each scenario in a contiguous slice
-// [begin, end) — workers ship integers — and reduce_ranks() applies the
-// engine's own fixed chunked float reduction to the merged full table, so
-// the summation tree (and hence the bits of the result) cannot depend on
-// how scenarios were sharded.
 #pragma once
 
 #include <array>
@@ -151,20 +142,6 @@ class KernelErEngine : public ScenarioErEngine {
   std::vector<std::size_t> scenario_ranks(
       const std::vector<std::size_t>& subset) const;
 
-  /// Integer surviving rank for scenarios [begin, end) only (position i of
-  /// the result is scenario begin + i) — the cluster shard-eval primitive.
-  /// Shares the cross-call rank memo with the full evaluate paths.
-  std::vector<std::size_t> slice_ranks(const std::vector<std::size_t>& subset,
-                                       std::size_t begin,
-                                       std::size_t end) const;
-
-  /// The deterministic chunked reduction evaluate() applies to its own
-  /// full per-scenario rank table.  Merging shard slices into scenario
-  /// order and reducing here is bitwise identical to a single-node
-  /// evaluate(), because the float summation tree is fixed by scenario
-  /// index alone.
-  double reduce_ranks(const std::vector<std::size_t>& ranks) const;
-
   /// The accumulator's scenario-class structure, built once on first use
   /// and cached (thread-safe; the engine is shared const by the service).
   const ScenarioClasses& scenario_classes() const;
@@ -174,12 +151,15 @@ class KernelErEngine : public ScenarioErEngine {
   friend class SlicedKernelAccumulator;
 
   /// Shared core of the evaluate paths: packs the subset rows, dedups the
-  /// per-scenario surviving masks over scenarios [begin, end), ranks each
-  /// distinct mask (in parallel when threads > 1) and expands back to a
-  /// per-scenario rank table for the range.
-  std::vector<std::size_t> ranks_in_range(
-      const std::vector<std::size_t>& subset, std::size_t threads,
-      std::size_t begin, std::size_t end) const;
+  /// per-scenario surviving masks, ranks each distinct mask (in parallel
+  /// when threads > 1) and expands back to a per-scenario rank table.
+  std::vector<std::size_t> rank_table(
+      const std::vector<std::size_t>& subset, std::size_t threads) const;
+
+  /// The deterministic chunked reduction of a full per-scenario rank
+  /// table: the float summation tree is fixed by scenario index alone, so
+  /// the result is stable across thread counts.
+  double reduce_ranks(const std::vector<std::size_t>& ranks) const;
 
   /// Per-class rank of the FULL candidate path set — the ceiling any
   /// accumulator's per-class rank can reach.  The sliced accumulator

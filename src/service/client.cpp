@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 namespace rnt::service {
 namespace {
@@ -28,60 +27,26 @@ timeval to_timeval(double seconds) {
 }  // namespace
 
 TcpClient::TcpClient(const std::string& host, std::uint16_t port,
-                     ClientOptions options)
-    : host_(host == "localhost" ? "127.0.0.1" : host),
-      port_(port),
-      options_(options) {
-  // Same bounded-retry ladder as call_line: the constructor's connect is
-  // just attempt zero of the first call.
-  for (std::size_t attempt = 0;; ++attempt) {
-    try {
-      connect_once();
-      return;
-    } catch (const std::runtime_error&) {
-      if (attempt >= options_.retries) throw;
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          options_.backoff_s * static_cast<double>(std::size_t{1} << attempt)));
-    }
-  }
-}
-
-TcpClient::TcpClient(const std::string& host, std::uint16_t port,
                      double timeout_s)
-    : TcpClient(host, port,
-                ClientOptions{.connect_timeout_s = timeout_s,
-                              .reply_timeout_s = timeout_s,
-                              .retries = 0}) {}
-
-TcpClient::~TcpClient() { disconnect(); }
-
-void TcpClient::disconnect() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  buffer_.clear();
-}
-
-void TcpClient::connect_once() {
-  disconnect();
+    : timeout_s_(timeout_s) {
+  const std::string ip = host == "localhost" ? "127.0.0.1" : host;
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) {
     throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(port_);
-  if (::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) != 1) {
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, ip.c_str(), &addr.sin_addr) != 1) {
     disconnect();
-    throw std::runtime_error("bad IPv4 address: " + host_);
+    throw std::runtime_error("bad IPv4 address: " + ip);
   }
 
   // Non-blocking connect bounded by poll: the kernel's default connect
   // timeout is minutes, far beyond any useful request deadline.
   const int flags = ::fcntl(fd_, F_GETFL, 0);
   ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-  const std::string where = host_ + ":" + std::to_string(port_);
+  const std::string where = ip + ":" + std::to_string(port);
   if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     if (errno != EINPROGRESS) {
       const std::string what = std::strerror(errno);
@@ -91,7 +56,7 @@ void TcpClient::connect_once() {
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options_.connect_timeout_s));
+            std::chrono::duration<double>(timeout_s_));
     for (;;) {
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
           deadline - std::chrono::steady_clock::now());
@@ -124,9 +89,19 @@ void TcpClient::connect_once() {
   }
   ::fcntl(fd_, F_SETFL, flags);
 
-  const timeval tv = to_timeval(options_.reply_timeout_s);
+  const timeval tv = to_timeval(timeout_s_);
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+}
+
+TcpClient::~TcpClient() { disconnect(); }
+
+void TcpClient::disconnect() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+  buffer_.clear();
 }
 
 Response TcpClient::call(const Request& request) {
@@ -134,30 +109,22 @@ Response TcpClient::call(const Request& request) {
 }
 
 std::string TcpClient::call_line(const std::string& line) {
-  const std::string framed = line + "\n";
-  for (std::size_t tries = 0;; ++tries) {
-    try {
-      if (fd_ < 0) {
-        connect_once();
-        ++reconnects_;
-      }
-      return attempt(framed);
-    } catch (const std::runtime_error&) {
-      disconnect();
-      if (tries >= options_.retries) throw;
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          options_.backoff_s * static_cast<double>(std::size_t{1} << tries)));
-    }
+  if (fd_ < 0) throw TransportError("connection closed by an earlier failure");
+  try {
+    return exchange(line + "\n");
+  } catch (const std::runtime_error&) {
+    disconnect();
+    throw;
   }
 }
 
-std::string TcpClient::attempt(const std::string& framed) {
+std::string TcpClient::exchange(const std::string& framed) {
   // One deadline bounds the whole exchange, shared by the partial-send
   // retry loop below and the kernel-side SO_RCVTIMEO/SO_SNDTIMEO.
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(options_.reply_timeout_s));
+          std::chrono::duration<double>(timeout_s_));
   std::size_t sent = 0;
   while (sent < framed.size()) {
     const ssize_t n = ::send(fd_, framed.data() + sent, framed.size() - sent,

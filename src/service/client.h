@@ -1,14 +1,11 @@
-// Blocking TCP client for the tomography service's line protocol, with
-// explicit deadlines and bounded retry.
+// Blocking TCP client for the tomography service's line protocol, with an
+// explicit deadline.
 //
-// Every stage of a call is time-bounded: connects run non-blocking under
-// `connect_timeout_s` (a dead or blackholed server cannot park the caller
-// in the kernel's minutes-long default), and replies are bounded by
-// `reply_timeout_s` via SO_RCVTIMEO/SO_SNDTIMEO.  A failed call tears the
-// connection down and — when `retries` allows — reconnects and re-sends
-// after an exponentially growing backoff.  Retries re-send the same line,
-// so they are only safe against idempotent handlers; every service verb
-// (including the cluster shard verbs, which memoize `add` replies) is.
+// Every stage of a call is time-bounded by one timeout: the connect runs
+// non-blocking under it (a dead or blackholed server cannot park the
+// caller in the kernel's minutes-long default), and each reply wait is
+// bounded by it via SO_RCVTIMEO/SO_SNDTIMEO.  A failed call closes the
+// connection; later calls on the same client throw TransportError.
 #pragma once
 
 #include <cstddef>
@@ -22,31 +19,20 @@ namespace rnt::service {
 
 /// A connection-level failure: the peer closed or reset the connection
 /// (EOF mid-reply, ECONNRESET, EPIPE) or a socket operation failed
-/// outright.  Derives from std::runtime_error so existing catch sites —
-/// including the client's own retry ladder — keep working; callers that
-/// care can distinguish it from timeouts and protocol errors.
+/// outright.  Derives from std::runtime_error so existing catch sites keep
+/// working; callers that care can distinguish it from timeouts and
+/// protocol errors.
 class TransportError : public std::runtime_error {
  public:
   explicit TransportError(const std::string& what)
       : std::runtime_error(what) {}
 };
 
-struct ClientOptions {
-  double connect_timeout_s = 5.0;  ///< Per connect attempt.
-  double reply_timeout_s = 60.0;   ///< Per send/recv while awaiting a reply.
-  std::size_t retries = 0;         ///< Extra attempts after a failure.
-  double backoff_s = 0.05;         ///< Pre-retry sleep; doubles per retry.
-};
-
 class TcpClient {
  public:
-  /// Connects to host:port (host: dotted IPv4 or "localhost"); throws
-  /// std::runtime_error when every connect attempt fails.
-  TcpClient(const std::string& host, std::uint16_t port,
-            ClientOptions options);
-
-  /// Legacy form: one connect attempt, `timeout_s` bounding both the
-  /// connect and each reply wait.
+  /// Connects to host:port (host: dotted IPv4 or "localhost") with one
+  /// attempt, `timeout_s` bounding both the connect and each reply wait;
+  /// throws std::runtime_error when the connect fails.
   TcpClient(const std::string& host, std::uint16_t port,
             double timeout_s = 60.0);
 
@@ -55,9 +41,9 @@ class TcpClient {
   TcpClient(const TcpClient&) = delete;
   TcpClient& operator=(const TcpClient&) = delete;
 
-  /// Sends one request and waits for its reply line.  After exhausting
-  /// the configured retries, throws TransportError when the connection
-  /// died under the call (peer closed mid-reply, ECONNRESET, EPIPE) and
+  /// Sends one request and waits for its reply line.  Throws
+  /// TransportError when the connection died under the call (peer closed
+  /// mid-reply, ECONNRESET, EPIPE) or an earlier call already failed, and
   /// plain std::runtime_error for timeouts.
   Response call(const Request& request);
 
@@ -65,22 +51,14 @@ class TcpClient {
   /// reply line.
   std::string call_line(const std::string& line);
 
-  /// Times the connection was re-established after a failure.
-  std::size_t reconnects() const { return reconnects_; }
-
  private:
-  /// One bounded connect attempt; throws on failure.
-  void connect_once();
   /// One send+receive on the live connection; throws on failure.
-  std::string attempt(const std::string& framed);
+  std::string exchange(const std::string& framed);
   void disconnect();
 
-  std::string host_;
-  std::uint16_t port_ = 0;
-  ClientOptions options_;
+  double timeout_s_ = 60.0;
   int fd_ = -1;
   std::string buffer_;  ///< Bytes received past the last reply line.
-  std::size_t reconnects_ = 0;
 };
 
 }  // namespace rnt::service

@@ -12,7 +12,7 @@
 namespace rnt::service {
 namespace {
 
-constexpr std::array<std::pair<RequestType, const char*>, 15> kVerbs{{
+constexpr std::array<std::pair<RequestType, const char*>, 12> kVerbs{{
     {RequestType::kSelect, "select"},
     {RequestType::kErEval, "er-eval"},
     {RequestType::kIdentifiability, "identifiability"},
@@ -22,9 +22,6 @@ constexpr std::array<std::pair<RequestType, const char*>, 15> kVerbs{{
     {RequestType::kFeed, "feed"},
     {RequestType::kReplan, "replan"},
     {RequestType::kPipelineStats, "pipeline-stats"},
-    {RequestType::kWorkerHello, "worker-hello"},
-    {RequestType::kHeartbeat, "heartbeat"},
-    {RequestType::kShardEval, "shard-eval"},
     {RequestType::kStats, "stats"},
     {RequestType::kPing, "ping"},
     {RequestType::kShutdown, "shutdown"},
@@ -117,14 +114,7 @@ std::string Request::get(const std::string& key, const std::string& def) const {
 
 std::int64_t Request::get_int(const std::string& key, std::int64_t def) const {
   const std::string raw = get(key, "");
-  if (raw.empty()) return def;
-  std::size_t used = 0;
-  const std::int64_t value = std::stoll(raw, &used);
-  if (used != raw.size()) {
-    throw std::invalid_argument("parameter " + key + ": not an integer: " +
-                                raw);
-  }
-  return value;
+  return raw.empty() ? def : parse_number<std::int64_t>(key, raw);
 }
 
 std::size_t Request::get_count(const std::string& key,
@@ -134,13 +124,7 @@ std::size_t Request::get_count(const std::string& key,
 
 double Request::get_double(const std::string& key, double def) const {
   const std::string raw = get(key, "");
-  if (raw.empty()) return def;
-  std::size_t used = 0;
-  const double value = std::stod(raw, &used);
-  if (used != raw.size()) {
-    throw std::invalid_argument("parameter " + key + ": not a number: " + raw);
-  }
-  return value;
+  return raw.empty() ? def : parse_number<double>(key, raw);
 }
 
 bool Request::get_bool(const std::string& key, bool def) const {

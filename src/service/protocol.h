@@ -7,8 +7,7 @@
 //   request  = verb *( SP key "=" value )
 //   verb     = "select" | "er-eval" | "identifiability" | "localize"
 //            | "localize-node" | "infer" | "feed" | "replan"
-//            | "pipeline-stats" | "worker-hello" | "heartbeat"
-//            | "shard-eval" | "stats" | "ping" | "shutdown"
+//            | "pipeline-stats" | "stats" | "ping" | "shutdown"
 //   reply    = "ok" *( SP key "=" value ) | "error" SP message
 //   key      = 1*( ALPHA | DIGIT | "-" | "_" | "." )
 //   value    = 1*( any char except SP / TAB / CR / LF )
@@ -37,9 +36,6 @@ enum class RequestType {
   kFeed,           ///< Telemetry into the workload's adaptive session.
   kReplan,         ///< Warm-start re-selection from the estimated model.
   kPipelineStats,  ///< Adaptive-session counters and estimates.
-  kWorkerHello,    ///< Cluster handshake: identity + capacity of a worker.
-  kHeartbeat,      ///< Cheap liveness probe for the cluster coordinator.
-  kShardEval,      ///< Integer scenario ranks for a contiguous slice.
   kStats,
   kPing,
   kShutdown,
@@ -107,9 +103,7 @@ Response parse_response(const std::string& line);
 std::string format_response(const Response& response);
 
 /// Shortest rendering of a double that parses back to the identical bits
-/// (the encoding Response::set(double) uses).  Exposed so request
-/// parameters (e.g. the cluster coordinator's intensity=) survive the
-/// wire round trip exactly.
+/// (the encoding Response::set(double) uses).
 std::string format_double(double value);
 
 }  // namespace rnt::service

@@ -1,7 +1,6 @@
 #include "service/service.h"
 
-#include <unistd.h>
-
+#include <charconv>
 #include <chrono>
 #include <numeric>
 #include <sstream>
@@ -44,12 +43,13 @@ std::vector<std::size_t> parse_subset(const std::string& csv,
   std::string token;
   while (std::getline(in, token, ',')) {
     if (token.empty()) continue;
-    std::size_t used = 0;
-    const unsigned long long value = std::stoull(token, &used);
-    if (used != token.size() || value >= path_count) {
+    std::size_t value = 0;
+    const char* end = token.data() + token.size();
+    const auto [stop, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc() || stop != end || value >= path_count) {
       throw std::invalid_argument("subset: bad path index '" + token + "'");
     }
-    subset.push_back(static_cast<std::size_t>(value));
+    subset.push_back(value);
   }
   if (subset.empty()) {
     throw std::invalid_argument("subset: no path indices given");
@@ -467,50 +467,6 @@ Response Service::dispatch(const Request& request) {
       r.set("divergence", session->drift.divergence());
       r.set("mean-estimate", mean_estimate);
       r.set("selected", session->replanner.current().size());
-      return r;
-    }
-    case RequestType::kWorkerHello: {
-      // Cluster handshake: identity and capacity, cheap enough to double
-      // as a liveness check during coordinator start-up.
-      request.get("client", "");  // Optional coordinator name, for logs.
-      Response r;
-      r.set("worker", std::size_t{1});
-      r.set("pid", static_cast<std::size_t>(::getpid()));
-      r.set("threads", pool_.size());
-      r.set("cache-capacity", cache_.capacity());
-      return r;
-    }
-    case RequestType::kHeartbeat: {
-      const ServiceMetrics::Snapshot m = metrics_.snapshot();
-      Response r;
-      r.set("alive", std::size_t{1});
-      r.set("requests", m.requests);
-      return r;
-    }
-    case RequestType::kShardEval: {
-      const auto cw = cache_.get(key_from(request));
-      const std::size_t runs = request.get_count("runs", 50);
-      if (runs == 0) {
-        throw std::invalid_argument("shard-eval: runs must be positive");
-      }
-      const core::KernelErEngine& engine = cw->kernel_engine(
-          runs, core::parse_kernel_mode(request.get("kernel", "auto")));
-      const std::vector<std::size_t> subset = parse_subset(
-          request.get("subset", ""), cw->workload.system->path_count());
-      const std::int64_t begin = request.get_int("begin", 0);
-      const std::int64_t end = request.get_int(
-          "end", static_cast<std::int64_t>(engine.scenario_count()));
-      if (begin < 0 || end < begin ||
-          static_cast<std::size_t>(end) > engine.scenario_count()) {
-        throw std::invalid_argument("shard-eval: bad scenario range");
-      }
-      const std::vector<std::size_t> ranks =
-          engine.slice_ranks(subset, static_cast<std::size_t>(begin),
-                             static_cast<std::size_t>(end));
-      Response r;
-      r.set("begin", static_cast<std::size_t>(begin));
-      r.set("end", static_cast<std::size_t>(end));
-      r.set("ranks", join_subset(ranks));
       return r;
     }
     case RequestType::kLocalize: {

@@ -15,11 +15,6 @@
 // drift detector and warm-start replanner.  Sessions pin their
 // CachedWorkload with a shared_ptr, so LRU eviction from the cache never
 // invalidates a live session's PathSystem or cost model.
-//
-// The cluster verbs (`worker-hello`, `heartbeat`, `shard-eval`) make the
-// service usable as a cluster worker: shard-eval returns exact integer
-// scenario ranks for a contiguous slice.  It is stateless, so
-// at-least-once RPC delivery cannot change any answer.
 #pragma once
 
 #include <functional>

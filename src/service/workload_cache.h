@@ -64,11 +64,9 @@ struct CachedWorkload {
   /// engine per distinct `runs` value, built on first use under a mutex
   /// and shared by every request thread afterwards: the engine is
   /// const-thread-safe and its internal mask-to-rank memo turns repeated
-  /// ER queries on a cached workload into hash lookups.  Because the
-  /// sampler is deterministic in (seed, runs), a cluster worker and its
-  /// coordinator asking for the same runs count hold scenario-for-scenario
-  /// identical engines.  `mode` selects the rank kernel (auto | sliced |
-  /// scalar — purely a performance knob, answers are bitwise identical);
+  /// ER queries on a cached workload into hash lookups.  `mode` selects
+  /// the rank kernel (auto | sliced | scalar — purely a performance knob,
+  /// answers are bitwise identical);
   /// engines are cached per (runs, mode) because the mode is fixed at
   /// engine construction, before the engine is shared across threads.
   const core::KernelErEngine& kernel_engine(
@@ -105,8 +103,6 @@ class WorkloadCache {
     }
   };
   Counters counters() const;
-
-  std::size_t capacity() const { return capacity_; }
 
  private:
   using EntryFuture =

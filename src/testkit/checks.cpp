@@ -684,7 +684,7 @@ CheckResult check_kernel_matches_scenario(const TestInstance& inst,
 
 // --------------------------------------------------------------------------
 // 14. The service's line protocol survives hostile bytes and round-trips
-//     well-formed traffic exactly (the cluster wire format).
+//     well-formed traffic exactly.
 // --------------------------------------------------------------------------
 
 CheckResult check_protocol_framing(const TestInstance& inst,
@@ -732,11 +732,11 @@ CheckResult check_protocol_framing(const TestInstance& inst,
   // Single-byte corruption of a well-formed request must stay inside the
   // same contract.
   service::Request request;
-  request.type = service::RequestType::kShardEval;
+  request.type = service::RequestType::kErEval;
   request.params = {{"subset", std::to_string(rng.index(inst.path_count()))},
-                    {"runs", std::to_string(1 + rng.index(1000))},
-                    {"begin", "0"},
-                    {"end", std::to_string(inst.path_count())}};
+                    {"scenarios", std::to_string(1 + rng.index(1000))},
+                    {"seed", "0"},
+                    {"paths", std::to_string(inst.path_count())}};
   const std::string wire = service::format_request(request);
   for (int round = 0; round < 32; ++round) {
     std::string mutated = wire;
@@ -759,7 +759,8 @@ CheckResult check_protocol_framing(const TestInstance& inst,
     return CheckResult::fail("request changed across format/parse: " + wire);
   }
 
-  // Replies carry doubles bitwise (the cluster merge depends on it).
+  // Replies carry doubles bitwise (a service answer must equal the
+  // one-shot CLI answer bit for bit).
   service::Response response;
   response.set("er", inst.link_probs.empty() ? rng.uniform()
                                              : inst.link_probs[0]);

@@ -1,6 +1,9 @@
 #include "util/flags.h"
 
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 namespace rnt {
 
@@ -50,13 +53,7 @@ std::string Flags::get_string(const std::string& name, std::string def) {
 
 std::int64_t Flags::get_int(const std::string& name, std::int64_t def) {
   auto v = raw(name);
-  if (!v) return def;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
-                                *v + "'");
-  }
+  return v ? parse_number<std::int64_t>(name, *v) : def;
 }
 
 std::size_t Flags::get_count(const std::string& name, std::size_t def) {
@@ -65,13 +62,7 @@ std::size_t Flags::get_count(const std::string& name, std::size_t def) {
 
 double Flags::get_double(const std::string& name, double def) {
   auto v = raw(name);
-  if (!v) return def;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                *v + "'");
-  }
+  return v ? parse_number<double>(name, *v) : def;
 }
 
 bool Flags::get_bool(const std::string& name, bool def) {
@@ -98,5 +89,25 @@ std::size_t to_count(std::int64_t value, const std::string& name) {
   }
   return static_cast<std::size_t>(value);
 }
+
+template <typename T>
+T parse_number(const std::string& name, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc() && stop == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw std::invalid_argument(
+        name + ": bad value '" + text + "' (want " +
+        (std::is_floating_point_v<T> ? "a finite number" : "an integer") +
+        ")");
+  }
+  return value;
+}
+
+template std::int64_t parse_number<std::int64_t>(const std::string&,
+                                                 const std::string&);
+template double parse_number<double>(const std::string&, const std::string&);
 
 }  // namespace rnt

@@ -48,4 +48,12 @@ class Flags {
 /// wrap -1 to 2^64-1 and turn a scenario loop into an endless one.
 std::size_t to_count(std::int64_t value, const std::string& name);
 
+/// Parses all of `text` as the value of the flag or request parameter
+/// `name`: T = std::int64_t wants an integer, T = double a finite number.
+/// Trailing characters, nan, inf and out-of-range values throw
+/// std::invalid_argument naming `name` and `text` — a NaN that got
+/// through would compare equal to every key in an ordered map.
+template <typename T>
+T parse_number(const std::string& name, const std::string& text);
+
 }  // namespace rnt

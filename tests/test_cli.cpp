@@ -246,6 +246,11 @@ TEST(FrontEnds, RejectTheSameBadInputsWithTheSameText) {
        "algorithm=prob-rome kernel=sliced"},
       {{"--algorithm", "monte-rome", "--kernel", "sliced"},
        "algorithm=monte-rome kernel=sliced"},
+      {{"--budget-frac", "nan"}, "budget-frac=nan"},
+      {{"--budget-frac", "0.3x"}, "budget-frac=0.3x"},
+      {{"--budget-frac", "abc"}, "budget-frac=abc"},
+      {{"--intensity", "inf"}, "intensity=inf"},
+      {{"--seed", "1.5"}, "seed=1.5"},
   };
   service::Service svc(service::ServiceConfig{.threads = 1,
                                               .cache_capacity = 1});

@@ -283,9 +283,33 @@ TEST(Service, ExplicitSubsetSkipsSelection) {
       "scenarios=50");
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.number("paths"), 3.0);
-  const Response bad = svc.handle_line(
-      "er-eval nodes=30 links=60 paths=30 seed=3 intensity=5 subset=0,999");
-  EXPECT_FALSE(bad.ok);
+  for (const std::string token :
+       {"999", "abc", "-1", "1x", "1234567890123456789012345"}) {
+    const Response bad = svc.handle_line(
+        "er-eval nodes=30 links=60 paths=30 seed=3 intensity=5 subset=0," +
+        token);
+    EXPECT_FALSE(bad.ok) << token;
+    EXPECT_EQ(bad.error, "subset: bad path index '" + token + "'");
+  }
+}
+
+// A NaN intensity compares equivalent to every key in the cache's ordered
+// map, so accepting one would let a later valid request be answered from
+// the NaN workload.  The NaN is rejected, and the valid request that
+// follows matches a fresh service bit for bit.
+TEST(Service, NanIntensityIsRejectedAndDoesNotPoisonTheCache) {
+  const std::string line = "er-eval nodes=20 links=30 paths=30 subset=0,1,2";
+  Service fresh(ServiceConfig{.threads = 1, .cache_capacity = 2});
+  const Response expected = fresh.handle_line(line);
+  ASSERT_TRUE(expected.ok) << expected.error;
+
+  Service svc(ServiceConfig{.threads = 1, .cache_capacity = 2});
+  const Response nan_reply = svc.handle_line(line + " intensity=nan");
+  EXPECT_FALSE(nan_reply.ok);
+  EXPECT_EQ(nan_reply.error,
+            "intensity: bad value 'nan' (want a finite number)");
+  EXPECT_EQ(format_response(svc.handle_line(line)),
+            format_response(expected));
 }
 
 // The ISSUE acceptance test: concurrent mixed verbs from several client
@@ -599,7 +623,6 @@ TEST(TcpServer, NegativeCountsGetAStructuredErrorAndPingStillAnswers) {
       {"select nodes=20 links=30 paths=-1", "paths"},
       {"select nodes=-1 links=30 paths=30", "nodes"},
       {"select nodes=20 links=-1 paths=30", "links"},
-      {"shard-eval " + w + " subset=0 runs=-1", "runs"},
   };
   {
     TcpClient client("127.0.0.1", server.port(), 10.0);

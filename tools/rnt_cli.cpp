@@ -15,10 +15,6 @@
 //   serve     Run the concurrent tomography service on a TCP port (the
 //             reactor front end; --reactor is accepted and has no effect).
 //   client    Send protocol lines to a running service.
-//   cluster-serve  Run one cluster worker (the same service, shard verbs).
-//   cluster   Select with RoMe on the coordinator's engine and evaluate ER
-//             across workers (shard-eval) with failover; verifies the
-//             merged ER bitwise against single-node.
 //   fuzz      Run the seeded invariant checks against brute-force oracles.
 //
 // Examples:
@@ -33,8 +29,6 @@
 //                    --segments 2,10,5 --segment-epochs 40
 //   rnt_cli serve --port 7070 --threads 8 --cache 8
 //   rnt_cli client --port 7070 --request "select as=AS1755 budget-frac=0.1"
-//   rnt_cli cluster-serve --port 7071
-//   rnt_cli cluster --workers 7071,7072 --paths 200 --budget-fracs 0.1,0.3
 //
 // Command implementations live in cli_commands.cpp so the test suite can
 // drive them directly.
